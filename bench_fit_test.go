@@ -13,11 +13,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
 	"genclus"
 	"genclus/internal/bench"
+	"genclus/internal/datagen"
+	"genclus/internal/deltalog"
+	"genclus/internal/hin"
+	"genclus/internal/server"
 )
 
 // benchFitEntry is one measurement in BENCH_fit.json.
@@ -26,6 +31,7 @@ type benchFitEntry struct {
 	Iterations   int    `json:"benchmark_iterations"`
 	EMIterations int    `json:"em_iterations,omitempty"` // EM work of one fit — the hardware-independent number
 	AllocsPerOp  *int64 `json:"allocs_per_op,omitempty"` // set by the EM-iteration benchmark (0 is the contract)
+	BytesPerOp   *int64 `json:"bytes_per_op,omitempty"`  // set by the mutation-apply benchmark
 }
 
 // mergeBenchFile folds entries into BENCH_fit.json (or GENCLUS_BENCH_OUT),
@@ -345,4 +351,77 @@ func BenchmarkEMIterationParallel(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkApplyEdges measures the mutation stage of genclusd's write path
+// on the ACP network the end-to-end benchmark serves (5000 authors, 5000
+// papers, 20 venues, seed 1; about 10k objects and 31k links): one 2-link
+// authorship mutation — write plus written_by between an author and a
+// paper not yet linked — through deltalog.Apply, the post-apply limit
+// check and PrepareCSR, each iteration applied to the same uploaded
+// generation. ns/op, B/op and allocs/op land in BENCH_fit.json under
+// "deltalog-apply/acp10k"; CI gates ns/op and allocs/op.
+func BenchmarkApplyEdges(b *testing.B) {
+	cfg := datagen.DefaultBiblioConfig(datagen.SchemaACP, 1)
+	cfg.NumAreas = 4
+	cfg.NumAuthors, cfg.NumPapers = 5000, 5000
+	ds, err := datagen.Biblio(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Upload it as genclusd does: decode the document, prepare the views.
+	doc, err := ds.Net.MarshalJSON()
+	if err != nil {
+		b.Fatal(err)
+	}
+	lim := server.DefaultLimits()
+	base, err := hin.FromJSONLimited(doc, lim)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base.PrepareCSR()
+	author := base.Object(base.ObjectsOfType(datagen.TypeAuthor)[0]).ID
+	linked := make(map[int]bool)
+	for _, e := range base.OutEdges(base.ObjectsOfType(datagen.TypeAuthor)[0]) {
+		linked[e.To] = true
+	}
+	var paper string
+	for _, v := range base.ObjectsOfType(datagen.TypePaper) {
+		if !linked[v] {
+			paper = base.Object(v).ID
+			break
+		}
+	}
+	m, err := deltalog.Decode(deltalog.OpEdges, []byte(fmt.Sprintf(
+		`{"add":[{"from":%q,"to":%q,"rel":%q,"w":1},{"from":%q,"to":%q,"rel":%q,"w":1}]}`,
+		author, paper, datagen.RelWrite, paper, author, datagen.RelWrittenBy)), lim)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func() {
+		next, err := deltalog.Apply(base, m)
+		if err == nil {
+			err = lim.CheckNetwork(next)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		next.PrepareCSR()
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	nsPerOp := b.Elapsed().Nanoseconds() / int64(b.N)
+	allocs := int64(after.Mallocs-before.Mallocs) / int64(b.N)
+	bytes := int64(after.TotalAlloc-before.TotalAlloc) / int64(b.N)
+	mergeBenchFile(b, func(key string) bool { return strings.HasPrefix(key, "deltalog-apply/") }, map[string]benchFitEntry{
+		"deltalog-apply/acp10k": {NsPerOp: nsPerOp, Iterations: b.N, AllocsPerOp: &allocs, BytesPerOp: &bytes},
+	})
 }

@@ -555,8 +555,9 @@ func (s *Scorer) Score(dst []float64) int {
 
 // linkSorter stable-sorts a query's links by (relation, target) through a
 // pointer receiver, so sorting allocates nothing: stability keeps
-// duplicate links in their added order — matching the CSR contract that
-// duplicates are kept as adjacent entries in build order — and
+// duplicate links in their added order — so a query listing parallel
+// links by ascending weight, as one rebuilt from a network's OutEdges
+// does, sums them in the CSR's (To, Weight) row order — and
 // sort.Stable's O(n log n) bounds the cost of a hostile link list (the
 // serving limit allows thousands of links per query; an insertion sort
 // there would be quadratic CPU inside the serialized dispatcher pass).

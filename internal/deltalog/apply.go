@@ -1,213 +1,182 @@
 package deltalog
 
 import (
+	"slices"
+
 	"genclus/internal/hin"
 )
 
-// edgeKey identifies an edge by dense endpoint and relation indices for
-// removal matching.
-type edgeKey struct {
-	from, to, rel int
-}
-
 // Apply materializes the next view generation: the mutation, already past
-// Decode, is validated against the network's actual content and replayed
-// with it into a fresh Builder via hin.CloneInto. The input network is
-// never touched — callers holding it (in-flight fits, assigns, drift
-// scoring) keep a consistent snapshot. Semantic contradictions come back
-// as *ApplyError; the returned network, when non-nil, is fully built but
-// not CSR-prepared (the serving layer calls PrepareCSR at publish time,
-// mirroring the upload path).
+// Decode, has its object IDs, relation names and attribute names resolved
+// against the network into a hin.Delta, which hin.Network.Splice turns
+// into the next generation. The input network is never modified — callers
+// holding it (in-flight fits, assigns, drift scoring) keep a consistent
+// snapshot — and the two generations share every structure the mutation
+// does not touch. Semantic contradictions come back as *ApplyError. The
+// returned network has its CSR views built, so the serving layer's
+// PrepareCSR at publish time costs nothing.
 //
-// Determinism: Builder.Build canonicalizes edge order and observation
-// storage, so Apply(n, m) is bit-for-bit the network a from-scratch build
-// of the mutated content would produce, independent of mutation history
-// chunking. Warm-start refits of generation G therefore reproduce a manual
-// fit of the same generation exactly.
+// Determinism: Splice stores exactly what Builder.Build would for the
+// mutated content — edges in (From, Rel, To, Weight) order, observations
+// in sorted sparse form — so Apply(n, m) is bit-for-bit the network a
+// from-scratch build of the mutated content would produce, independent of
+// mutation history chunking. Warm-start refits of generation G therefore
+// reproduce a manual fit of the same generation exactly.
 func Apply(n *hin.Network, m *Mutation) (*hin.Network, error) {
+	r := resolver{n: n}
+	var err error
 	switch m.Op {
 	case OpEdges:
-		return applyEdges(n, m)
+		err = r.edges(m)
 	case OpObjects:
-		return applyObjects(n, m)
+		err = r.objects(m)
 	case OpAttributes:
-		return applyAttributes(n, m)
+		err = r.attributes(m)
+	default:
+		err = applyErrf("unknown mutation op %q", m.Op)
 	}
-	return nil, applyErrf("unknown mutation op %q", m.Op)
+	if err != nil {
+		return nil, err
+	}
+	next, err := n.Splice(&r.d)
+	if err != nil {
+		return nil, &ApplyError{Msg: err.Error()}
+	}
+	return next, nil
 }
 
-func applyEdges(n *hin.Network, m *Mutation) (*hin.Network, error) {
-	// Resolve removals to dense keys up front so unknown references fail
-	// before any building happens. The count tracks parallel-edge triples:
-	// one EdgeRef removes every matching edge, duplicated refs are
-	// redundant but harmless.
-	remove := make(map[edgeKey]bool, len(m.Remove))
-	matched := make(map[edgeKey]bool, len(m.Remove))
+// resolver translates one mutation's IDs and names into the dense indices
+// of a hin.Delta against network n. Objects and relations the mutation
+// introduces get the indices that follow n's, in first-appearance order.
+type resolver struct {
+	n      *hin.Network
+	d      hin.Delta
+	newObj map[string]int
+	newRel map[string]int
+}
+
+func (r *resolver) object(id string) (int, bool) {
+	if v, ok := r.n.IndexOf(id); ok {
+		return v, true
+	}
+	v, ok := r.newObj[id]
+	return v, ok
+}
+
+// relation returns the dense index of the named relation, appending it to
+// the delta when the network does not know it yet.
+func (r *resolver) relation(name string) int {
+	if id, ok := r.n.RelationID(name); ok {
+		return id
+	}
+	if id, ok := r.newRel[name]; ok {
+		return id
+	}
+	if r.newRel == nil {
+		r.newRel = make(map[string]int)
+	}
+	id := r.n.NumRelations() + len(r.d.Relations)
+	r.newRel[name] = id
+	r.d.Relations = append(r.d.Relations, name)
+	return id
+}
+
+func (r *resolver) links(what string, links []Link) error {
+	r.d.Add = slices.Grow(r.d.Add, len(links))
+	for _, l := range links {
+		from, ok := r.object(l.From)
+		if !ok {
+			return applyErrf("%s: unknown object %q", what, l.From)
+		}
+		to, ok := r.object(l.To)
+		if !ok {
+			return applyErrf("%s: unknown object %q", what, l.To)
+		}
+		r.d.Add = append(r.d.Add, hin.Edge{From: from, To: to, Rel: r.relation(l.Relation), Weight: l.Weight})
+	}
+	return nil
+}
+
+func (r *resolver) edges(m *Mutation) error {
+	// One EdgeRef removes every parallel edge matching its triple;
+	// duplicated refs are redundant but harmless.
 	for _, ref := range m.Remove {
-		from, ok := n.IndexOf(ref.From)
+		from, ok := r.n.IndexOf(ref.From)
 		if !ok {
-			return nil, applyErrf("remove: unknown object %q", ref.From)
+			return applyErrf("remove: unknown object %q", ref.From)
 		}
-		to, ok := n.IndexOf(ref.To)
+		to, ok := r.n.IndexOf(ref.To)
 		if !ok {
-			return nil, applyErrf("remove: unknown object %q", ref.To)
+			return applyErrf("remove: unknown object %q", ref.To)
 		}
-		rel, ok := n.RelationID(ref.Relation)
+		rel, ok := r.n.RelationID(ref.Relation)
 		if !ok {
-			return nil, applyErrf("remove: unknown relation %q", ref.Relation)
+			return applyErrf("remove: unknown relation %q", ref.Relation)
 		}
-		remove[edgeKey{from, to, rel}] = true
+		r.d.Remove = append(r.d.Remove, hin.LinkKey{From: from, Rel: rel, To: to})
 	}
-	for _, l := range m.Add {
-		if _, ok := n.IndexOf(l.From); !ok {
-			return nil, applyErrf("add: unknown object %q", l.From)
-		}
-		if _, ok := n.IndexOf(l.To); !ok {
-			return nil, applyErrf("add: unknown object %q", l.To)
-		}
-	}
-	b := hin.NewBuilder()
-	hin.CloneInto(b, n, func(e hin.Edge) bool {
-		k := edgeKey{e.From, e.To, e.Rel}
-		if remove[k] {
-			matched[k] = true
-			return false
-		}
-		return true
-	}, nil)
-	for k := range remove {
-		if !matched[k] {
-			return nil, applyErrf("remove: no edge %s -[%s]-> %s",
-				n.Object(k.from).ID, n.RelationName(k.rel), n.Object(k.to).ID)
-		}
-	}
-	for _, l := range m.Add {
-		b.AddLink(l.From, l.To, l.Relation, l.Weight)
-	}
-	net, err := b.Build()
-	if err != nil {
-		return nil, &ApplyError{Msg: err.Error()}
-	}
-	return net, nil
+	return r.links("add", m.Add)
 }
 
-func applyObjects(n *hin.Network, m *Mutation) (*hin.Network, error) {
-	added := make(map[string]bool, len(m.Objects))
+func (r *resolver) objects(m *Mutation) error {
+	r.newObj = make(map[string]int, len(m.Objects))
 	for _, o := range m.Objects {
-		if _, exists := n.IndexOf(o.ID); exists {
-			return nil, applyErrf("objects: id %q already exists", o.ID)
+		if _, exists := r.object(o.ID); exists {
+			return applyErrf("objects: id %q already exists", o.ID)
 		}
-		added[o.ID] = true
-		if err := checkObs(n, o.ID, o.Terms, o.Numeric); err != nil {
-			return nil, err
-		}
-	}
-	for _, l := range m.Links {
-		if _, ok := n.IndexOf(l.From); !ok && !added[l.From] {
-			return nil, applyErrf("links: unknown object %q", l.From)
-		}
-		if _, ok := n.IndexOf(l.To); !ok && !added[l.To] {
-			return nil, applyErrf("links: unknown object %q", l.To)
+		v := r.n.NumObjects() + len(r.d.Objects)
+		r.newObj[o.ID] = v
+		r.d.Objects = append(r.d.Objects, hin.Object{ID: o.ID, Type: o.Type})
+		if err := r.observations(v, o.ID, o.Terms, o.Numeric); err != nil {
+			return err
 		}
 	}
-	b := hin.NewBuilder()
-	hin.CloneInto(b, n, nil, nil)
-	for _, o := range m.Objects {
-		b.AddObject(o.ID, o.Type)
-		addObs(b, o.ID, o.Terms, o.Numeric)
-	}
-	for _, l := range m.Links {
-		b.AddLink(l.From, l.To, l.Relation, l.Weight)
-	}
-	net, err := b.Build()
-	if err != nil {
-		return nil, &ApplyError{Msg: err.Error()}
-	}
-	return net, nil
+	return r.links("links", m.Links)
 }
 
-func applyAttributes(n *hin.Network, m *Mutation) (*hin.Network, error) {
-	// patched[objID] is the set of attribute names whose observations the
-	// patch replaces; CloneInto drops exactly those, then the patch's lists
-	// (possibly empty — a clear) are added back.
-	patched := make(map[string]map[string]bool, len(m.Set))
+func (r *resolver) attributes(m *Mutation) error {
 	for _, p := range m.Set {
-		if _, ok := n.IndexOf(p.ID); !ok {
-			return nil, applyErrf("set: unknown object %q", p.ID)
-		}
-		if err := checkObs(n, p.ID, p.Terms, p.Numeric); err != nil {
-			return nil, err
-		}
-		attrs := make(map[string]bool, len(p.Terms)+len(p.Numeric))
-		for attr := range p.Terms {
-			attrs[attr] = true
-		}
-		for attr := range p.Numeric {
-			attrs[attr] = true
-		}
-		patched[p.ID] = attrs
-	}
-	b := hin.NewBuilder()
-	hin.CloneInto(b, n, nil, func(objID, attr string) bool {
-		return !patched[objID][attr]
-	})
-	for _, p := range m.Set {
-		addObs(b, p.ID, p.Terms, p.Numeric)
-	}
-	net, err := b.Build()
-	if err != nil {
-		return nil, &ApplyError{Msg: err.Error()}
-	}
-	return net, nil
-}
-
-// checkObs validates one object's observation maps against the network's
-// declared attributes: the attribute must exist, its kind must match the
-// map it appears in, and categorical terms must lie inside the declared
-// vocabulary.
-func checkObs(n *hin.Network, objID string, terms map[string][]TermCount, numeric map[string][]float64) error {
-	for attr, tcs := range terms {
-		a, ok := n.AttrID(attr)
+		v, ok := r.n.IndexOf(p.ID)
 		if !ok {
-			return applyErrf("object %q: unknown attribute %q", objID, attr)
+			return applyErrf("set: unknown object %q", p.ID)
 		}
-		spec := n.Attr(a)
-		if spec.Kind != hin.Categorical {
-			return applyErrf("object %q: attribute %q is numeric, not categorical", objID, attr)
-		}
-		for _, tc := range tcs {
-			if tc.Term >= spec.VocabSize {
-				return applyErrf("object %q: attribute %q term %d outside vocabulary of %d", objID, attr, tc.Term, spec.VocabSize)
-			}
-		}
-	}
-	for attr := range numeric {
-		a, ok := n.AttrID(attr)
-		if !ok {
-			return applyErrf("object %q: unknown attribute %q", objID, attr)
-		}
-		if n.Attr(a).Kind != hin.Numeric {
-			return applyErrf("object %q: attribute %q is categorical, not numeric", objID, attr)
+		if err := r.observations(v, p.ID, p.Terms, p.Numeric); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// addObs replays one object's observation maps into the builder. Map
-// iteration order does not affect the result: distinct attributes feed
-// distinct observation lists, entries within one attribute keep their
-// slice order, and Build canonicalizes term storage.
-func addObs(b *hin.Builder, objID string, terms map[string][]TermCount, numeric map[string][]float64) {
+// observations adds one patch per named attribute of object v, checking
+// that the attribute exists and that its kind matches the map it appears
+// in (an empty list clears the observation). Term ranges and values are
+// checked by Splice.
+func (r *resolver) observations(v int, objID string, terms map[string][]TermCount, numeric map[string][]float64) error {
 	for attr, tcs := range terms {
-		for _, tc := range tcs {
-			b.AddTermCount(objID, attr, tc.Term, tc.Count)
+		a, ok := r.n.AttrID(attr)
+		if !ok {
+			return applyErrf("object %q: unknown attribute %q", objID, attr)
 		}
+		if r.n.Attr(a).Kind != hin.Categorical {
+			return applyErrf("object %q: attribute %q is numeric, not categorical", objID, attr)
+		}
+		p := hin.ObsPatch{Object: v, Attr: a, Terms: make([]hin.TermCount, len(tcs))}
+		for i, tc := range tcs {
+			p.Terms[i] = hin.TermCount(tc)
+		}
+		r.d.Obs = append(r.d.Obs, p)
 	}
 	for attr, xs := range numeric {
-		for _, x := range xs {
-			b.AddNumeric(objID, attr, x)
+		a, ok := r.n.AttrID(attr)
+		if !ok {
+			return applyErrf("object %q: unknown attribute %q", objID, attr)
 		}
+		if r.n.Attr(a).Kind != hin.Numeric {
+			return applyErrf("object %q: attribute %q is categorical, not numeric", objID, attr)
+		}
+		r.d.Obs = append(r.d.Obs, hin.ObsPatch{Object: v, Attr: a, Values: xs})
 	}
+	return nil
 }
 
 // Touched returns the IDs of objects a mutation bears evidence about — the

@@ -9,12 +9,15 @@
 // The paper's model (Sun, Aggarwal, Han — VLDB 2012) fits a fixed network;
 // the serving reality is a network that never stops changing. The delta
 // log is what connects the two: every mutation is validated, logged, and
-// applied as a full rebuild through hin.CloneInto + Builder.Build, whose
-// canonicalization makes generation N of a mutated network bit-for-bit the
-// network a from-scratch build of the same content would produce. In-flight
-// fits and assigns keep the generation they started with — a live view is
-// never edited — and recovery replays base + log to reconstruct the exact
-// live generation after a SIGKILL.
+// applied by resolving its IDs and names into a dense hin.Delta that
+// hin.Network.Splice turns into the next generation. The splice copies
+// only what the mutation touches and shares the rest with the previous
+// generation, yet stores exactly what a from-scratch Builder.Build would,
+// so generation N of a mutated network is bit-for-bit the network a
+// from-scratch build of the same content would produce. In-flight fits and
+// assigns keep the generation they started with — a live view is never
+// edited — and recovery replays base + log to reconstruct the exact live
+// generation after a SIGKILL.
 package deltalog
 
 import (

@@ -154,10 +154,8 @@ func TestApplySemantics(t *testing.T) {
 	}
 
 	// Removing the just-added parallel triple removes every matching edge.
-	b := hin.NewBuilder()
-	hin.CloneInto(b, next, nil, nil)
-	b.AddLink("p3", "p1", "cites", 5) // second parallel edge
-	withDup, err := b.Build()
+	dup, _ := Decode(OpEdges, []byte(`{"add":[{"from":"p3","to":"p1","rel":"cites","w":5}]}`), noLimits())
+	withDup, err := Apply(next, dup)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package hin
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -243,37 +244,11 @@ func (b *Builder) Build() (*Network, error) {
 		n.typeIndex[o.Type] = append(n.typeIndex[o.Type], v)
 	}
 
-	// CSR out-adjacency: sort edges by (From, Rel, To) for deterministic
-	// iteration order, then compute offsets.
-	sort.Slice(n.edges, func(i, j int) bool {
-		a, bb := n.edges[i], n.edges[j]
-		if a.From != bb.From {
-			return a.From < bb.From
-		}
-		if a.Rel != bb.Rel {
-			return a.Rel < bb.Rel
-		}
-		return a.To < bb.To
-	})
+	// Canonical edge order, then CSR offsets by source and by target. The
+	// link views themselves are built lazily by Network.PrepareCSR.
+	slices.SortFunc(n.edges, compareEdges)
 	nObj := len(n.objects)
-	n.outStart = make([]int, nObj+1)
-	for _, e := range n.edges {
-		n.outStart[e.From+1]++
-	}
-	for v := 0; v < nObj; v++ {
-		n.outStart[v+1] += n.outStart[v]
-	}
-
-	// In-link offsets by To. The in-adjacency itself (per-relation CSR
-	// transposes and the merged in-link view) is built lazily by
-	// Network.PrepareCSR on first use.
-	n.inStart = make([]int, nObj+1)
-	for _, e := range n.edges {
-		n.inStart[e.To+1]++
-	}
-	for v := 0; v < nObj; v++ {
-		n.inStart[v+1] += n.inStart[v]
-	}
+	n.outStart, n.inStart = edgeOffsets(n.edges, nObj)
 
 	// Freeze observations into sorted sparse slices.
 	n.catObs = make([][][]TermCount, len(n.attrs))

@@ -1,14 +1,15 @@
 package hin
 
+import "slices"
+
 // CSR is an immutable compressed-sparse-row adjacency matrix over the links
-// of a single relation. Rows are dense object indices; row v's entries live
-// in Col[Start[v]:Start[v+1]] and Weight[Start[v]:Start[v+1]]. In the
-// out-link view a column is the link target (To); in the transpose it is the
-// link source (From).
+// of a single relation. Rows are dense source objects (From); row v's
+// entries live in Col[Start[v]:Start[v+1]] and Weight[Start[v]:Start[v+1]],
+// a column being the link target (To).
 //
-// Entries within a row are ordered by ascending column index, with duplicate
-// (row, column) links kept as adjacent separate entries in their original
-// build order — never coalesced — so walking a CSR row reproduces the exact
+// Entries within a row are ordered by ascending column index, with parallel
+// (row, column) links kept as adjacent separate entries in ascending weight
+// order — never coalesced — so walking a CSR row reproduces the exact
 // floating-point summation order of walking the sorted edge list. That
 // ordering is part of the determinism contract (see docs/ARCHITECTURE.md):
 // a fit must be bitwise reproducible regardless of which adjacency view the
@@ -38,13 +39,10 @@ func (m *CSR) Row(v int) (cols []int, weights []float64) {
 // RowNNZ returns the number of stored links in row v.
 func (m *CSR) RowNNZ(v int) int { return m.Start[v+1] - m.Start[v] }
 
-// csrViews is the lazily-built sparse link storage the EM hot path walks:
-// one CSR per relation (rows = From) and a merged in-link view that keeps
-// the global edge order. Built once per Network on first use and immutable
-// afterwards. The per-relation transposes live behind their own lazy build
-// (csrTOnce) because no production path consumes them yet — they exist for
-// the future row-range sharding work and for tests, and eagerly scanning
-// every edge again on upload would tax all networks for that.
+// csrViews is the sparse link storage the EM hot path walks: one CSR per
+// relation (rows = From) and a merged in-link view that keeps the global
+// edge order. Built once per Network — lazily by PrepareCSR, or by Splice
+// for the generation it returns — and immutable afterwards.
 type csrViews struct {
 	out []CSR // per relation, rows = From, columns = To
 
@@ -64,24 +62,44 @@ type csrViews struct {
 // calls it implicitly. Fit setup and the genclusd upload path invoke it
 // eagerly so the build cost is paid once, off the EM iteration path.
 func (n *Network) PrepareCSR() {
-	n.csrOnce.Do(n.buildCSR)
+	n.csrOnce.Do(func() { n.csr = n.buildViews(nil, nil) })
 }
 
-func (n *Network) buildCSR() {
+// buildViews builds n's link views. Without a parent (prev == nil) every
+// view is built from the edge list. With a parent's views, only the
+// relations marked in touched are rebuilt: every other relation shares the
+// parent's Col and Weight (and Start, unless n has more objects), and the
+// merged in-link arrays are shared too when no relation is touched, since
+// the edge list is then the parent's.
+func (n *Network) buildViews(prev *csrViews, touched []bool) *csrViews {
 	nObj := len(n.objects)
 	nRel := len(n.relations)
-	v := &csrViews{
-		out: make([]CSR, nRel),
+	v := &csrViews{out: make([]CSR, nRel)}
+	build := make([]bool, nRel)
+	edgesChanged := prev == nil || slices.Contains(touched, true)
+	for r := range v.out {
+		if prev != nil && r < len(prev.out) && !touched[r] {
+			v.out[r] = extendRows(prev.out[r], nObj)
+			continue
+		}
+		build[r] = true
+		v.out[r].Start = make([]int, nObj+1)
+	}
+	if !edgesChanged {
+		v.inFrom, v.inRel, v.inWeight = prev.inFrom, prev.inRel, prev.inWeight
+		return v
 	}
 
 	// Per-relation link counts by row.
-	for r := 0; r < nRel; r++ {
-		v.out[r].Start = make([]int, nObj+1)
-	}
 	for _, e := range n.edges {
-		v.out[e.Rel].Start[e.From+1]++
+		if build[e.Rel] {
+			v.out[e.Rel].Start[e.From+1]++
+		}
 	}
-	for r := 0; r < nRel; r++ {
+	for r := range v.out {
+		if !build[r] {
+			continue
+		}
 		outS := v.out[r].Start
 		for i := 0; i < nObj; i++ {
 			outS[i+1] += outS[i]
@@ -90,69 +108,45 @@ func (n *Network) buildCSR() {
 		v.out[r].Weight = make([]float64, outS[nObj])
 	}
 
-	// Fill by scanning the edges in their canonical (From, Rel, To) order:
-	// the out view inherits ascending To within each row, the merged
-	// in-link view the global edge order, and duplicates keep their
-	// original relative order. Next-free-slot cursors start as a copy of
-	// each Start array.
+	// Fill by scanning the edges in their canonical (From, Rel, To, Weight)
+	// order. A relation's links appear in that scan row by row, each row in
+	// (To, Weight) order, so one running cursor per relation fills its
+	// CSR; the merged in-link view inherits the global edge order through a
+	// next-free-slot cursor per target.
 	v.inFrom = make([]int, len(n.edges))
 	v.inRel = make([]int, len(n.edges))
 	v.inWeight = make([]float64, len(n.edges))
-	mergedCur := append([]int(nil), n.inStart...)
-	outNext := make([][]int, nRel)
-	for r := 0; r < nRel; r++ {
-		outNext[r] = append([]int(nil), v.out[r].Start...)
-	}
+	outNext := make([]int, nRel)
+	mergedCur := slices.Clone(n.inStart)
 	for _, e := range n.edges {
-		o := &v.out[e.Rel]
-		p := outNext[e.Rel][e.From]
-		o.Col[p] = e.To
-		o.Weight[p] = e.Weight
-		outNext[e.Rel][e.From]++
-
+		if build[e.Rel] {
+			o := &v.out[e.Rel]
+			p := outNext[e.Rel]
+			o.Col[p] = e.To
+			o.Weight[p] = e.Weight
+			outNext[e.Rel]++
+		}
 		m := mergedCur[e.To]
 		v.inFrom[m] = e.From
 		v.inRel[m] = e.Rel
 		v.inWeight[m] = e.Weight
 		mergedCur[e.To]++
 	}
-	n.csr = v
+	return v
 }
 
-// buildCSRT builds the per-relation in-link transposes on first demand —
-// they have no production consumer yet (symmetric propagation walks the
-// merged view; strength statistics walk the out views), so they are not
-// part of the upload-time PrepareCSR cost.
-func (n *Network) buildCSRT() {
-	nObj := len(n.objects)
-	nRel := len(n.relations)
-	in := make([]CSR, nRel)
-	for r := 0; r < nRel; r++ {
-		in[r].Start = make([]int, nObj+1)
+// extendRows returns m with nObj rows, sharing Col and Weight: rows past
+// m's own are empty.
+func extendRows(m CSR, nObj int) CSR {
+	if m.NumRows() == nObj {
+		return m
 	}
-	for _, e := range n.edges {
-		in[e.Rel].Start[e.To+1]++
+	start := make([]int, nObj+1)
+	copy(start, m.Start)
+	for i := len(m.Start); i <= nObj; i++ {
+		start[i] = m.NNZ()
 	}
-	inNext := make([][]int, nRel)
-	for r := 0; r < nRel; r++ {
-		inS := in[r].Start
-		for i := 0; i < nObj; i++ {
-			inS[i+1] += inS[i]
-		}
-		in[r].Col = make([]int, inS[nObj])
-		in[r].Weight = make([]float64, inS[nObj])
-		inNext[r] = append([]int(nil), inS...)
-	}
-	// Scanning in canonical edge order gives each transpose row ascending
-	// From, duplicates in their original relative order.
-	for _, e := range n.edges {
-		t := &in[e.Rel]
-		q := inNext[e.Rel][e.To]
-		t.Col[q] = e.From
-		t.Weight[q] = e.Weight
-		inNext[e.Rel][e.To]++
-	}
-	n.csrT = in
+	return CSR{Start: start, Col: m.Col, Weight: m.Weight}
 }
 
 // RelationCSR returns the out-link CSR of relation r (rows = From, columns =
@@ -162,28 +156,12 @@ func (n *Network) RelationCSR(r int) *CSR {
 	return &n.csr.out[r]
 }
 
-// RelationCSRTranspose returns the in-link CSR of relation r (rows = To,
-// columns = From), building the transposes on first use. The returned
-// matrix is shared and immutable.
-func (n *Network) RelationCSRTranspose(r int) *CSR {
-	n.csrTOnce.Do(n.buildCSRT)
-	return &n.csrT[r]
-}
-
 // RelationCSRs returns every relation's out-link CSR indexed by dense
 // relation id. The slice and matrices are shared; callers must not mutate
 // them.
 func (n *Network) RelationCSRs() []CSR {
 	n.PrepareCSR()
 	return n.csr.out
-}
-
-// RelationCSRTransposes returns every relation's in-link CSR indexed by
-// dense relation id, building the transposes on first use. The slice and
-// matrices are shared; callers must not mutate them.
-func (n *Network) RelationCSRTransposes() []CSR {
-	n.csrTOnce.Do(n.buildCSRT)
-	return n.csrT
 }
 
 // InLinks returns the incoming links of object v as parallel subslices

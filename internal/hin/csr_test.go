@@ -9,14 +9,13 @@ import (
 // checkCSRInvariants verifies the structural soundness of a network's CSR
 // link views against its canonical edge list:
 //
-//   - every relation has an out view and a transpose with |V|+1
-//     non-decreasing row offsets covering exactly that relation's links;
+//   - every relation has an out view with |V|+1 non-decreasing row
+//     offsets covering exactly that relation's links;
 //   - walking the out views object-major, relation-major reproduces
 //     Edges() exactly — same order, same duplicates, same weights — which
 //     is the determinism contract the EM loop relies on;
-//   - the transpose holds the same multiset of links per relation;
-//   - the merged in-link view is ordered by (From, Rel) within each target
-//     and agrees with InDegree.
+//   - the merged in-link view holds the same multiset of links per
+//     relation, ordered by (From, Rel) within each target.
 //
 // The fuzzer calls it on every decodable input.
 func checkCSRInvariants(t testing.TB, net *Network) {
@@ -24,9 +23,8 @@ func checkCSRInvariants(t testing.TB, net *Network) {
 	nObj := net.NumObjects()
 	nRel := net.NumRelations()
 	outs := net.RelationCSRs()
-	ins := net.RelationCSRTransposes()
-	if len(outs) != nRel || len(ins) != nRel {
-		t.Fatalf("CSR views: %d out, %d transpose for %d relations", len(outs), len(ins), nRel)
+	if len(outs) != nRel {
+		t.Fatalf("CSR views: %d out for %d relations", len(outs), nRel)
 	}
 
 	checkShape := func(m *CSR, name string) {
@@ -55,15 +53,13 @@ func checkCSRInvariants(t testing.TB, net *Network) {
 		}
 	}
 
-	totalOut, totalIn := 0, 0
+	totalOut := 0
 	for r := 0; r < nRel; r++ {
 		checkShape(&outs[r], "out["+net.RelationName(r)+"]")
-		checkShape(&ins[r], "in["+net.RelationName(r)+"]")
 		totalOut += outs[r].NNZ()
-		totalIn += ins[r].NNZ()
 	}
-	if totalOut != net.NumEdges() || totalIn != net.NumEdges() {
-		t.Fatalf("CSR views store %d out / %d in links for %d edges", totalOut, totalIn, net.NumEdges())
+	if totalOut != net.NumEdges() {
+		t.Fatalf("CSR views store %d links for %d edges", totalOut, net.NumEdges())
 	}
 
 	// Walking out views object-major, relation-major must reproduce the
@@ -90,7 +86,8 @@ func checkCSRInvariants(t testing.TB, net *Network) {
 		t.Fatalf("out views yield %d links for %d edges", i, len(edges))
 	}
 
-	// The transpose holds the same (From, To, Weight) multiset per relation.
+	// The merged in-link view holds the same (From, To, Weight) multiset per
+	// relation.
 	type link struct {
 		from, to int
 		w        float64
@@ -106,26 +103,30 @@ func checkCSRInvariants(t testing.TB, net *Network) {
 			return ls[i].w < ls[j].w
 		})
 	}
+	fromIn := make([][]link, nRel)
+	for v := 0; v < nObj; v++ {
+		from, rels, wts := net.InLinks(v)
+		for j := range from {
+			fromIn[rels[j]] = append(fromIn[rels[j]], link{from[j], v, wts[j]})
+		}
+	}
 	for r := 0; r < nRel; r++ {
-		var fromOut, fromIn []link
+		var fromOut []link
 		for v := 0; v < nObj; v++ {
 			cols, wts := outs[r].Row(v)
 			for j := range cols {
 				fromOut = append(fromOut, link{v, cols[j], wts[j]})
 			}
-			icols, iwts := ins[r].Row(v)
-			for j := range icols {
-				fromIn = append(fromIn, link{icols[j], v, iwts[j]})
-			}
 		}
+		fromIn := fromIn[r]
 		sortLinks(fromOut)
 		sortLinks(fromIn)
 		if len(fromOut) != len(fromIn) {
-			t.Fatalf("relation %d: %d out links, %d transposed", r, len(fromOut), len(fromIn))
+			t.Fatalf("relation %d: %d out links, %d in-links", r, len(fromOut), len(fromIn))
 		}
 		for j := range fromOut {
 			if fromOut[j] != fromIn[j] {
-				t.Fatalf("relation %d: transpose link %d = %+v, out link %+v", r, j, fromIn[j], fromOut[j])
+				t.Fatalf("relation %d: in-link %d = %+v, out link %+v", r, j, fromIn[j], fromOut[j])
 			}
 		}
 	}
@@ -133,8 +134,8 @@ func checkCSRInvariants(t testing.TB, net *Network) {
 	// Merged in-link view: (From, Rel)-ordered per target, length-consistent.
 	for v := 0; v < nObj; v++ {
 		from, rels, wts := net.InLinks(v)
-		if len(from) != net.InDegree(v) || len(rels) != len(from) || len(wts) != len(from) {
-			t.Fatalf("merged in-links of %d: lengths %d/%d/%d for InDegree %d", v, len(from), len(rels), len(wts), net.InDegree(v))
+		if len(rels) != len(from) || len(wts) != len(from) {
+			t.Fatalf("merged in-links of %d: lengths %d/%d/%d", v, len(from), len(rels), len(wts))
 		}
 		for j := 1; j < len(from); j++ {
 			if from[j] < from[j-1] || (from[j] == from[j-1] && rels[j] < rels[j-1]) {
@@ -148,8 +149,8 @@ func TestCSRToyNetwork(t *testing.T) {
 	checkCSRInvariants(t, buildToy(t))
 }
 
-// TestCSREmptyRelation: a relation interned without any links still gets a
-// (all-empty-rows) CSR pair, and relations emptied by FilterEdges keep
+// TestCSREmptyRelation: a relation interned without any links still gets an
+// all-empty-rows CSR, and relations emptied by FilterEdges keep
 // their dense ids with zero entries.
 func TestCSREmptyRelation(t *testing.T) {
 	b := NewBuilder()
@@ -169,9 +170,6 @@ func TestCSREmptyRelation(t *testing.T) {
 	if nnz := net.RelationCSR(lonely).NNZ(); nnz != 0 {
 		t.Fatalf("empty relation stores %d links", nnz)
 	}
-	if nnz := net.RelationCSRTranspose(lonely).NNZ(); nnz != 0 {
-		t.Fatalf("empty relation transpose stores %d links", nnz)
-	}
 
 	filtered, err := FilterEdges(net, func(Edge) bool { return false })
 	if err != nil {
@@ -184,7 +182,7 @@ func TestCSREmptyRelation(t *testing.T) {
 }
 
 // TestCSRSelfLinks: a self-link appears in the object's own row in both the
-// out view and the transpose.
+// out view and the merged in-link view.
 func TestCSRSelfLinks(t *testing.T) {
 	b := NewBuilder()
 	b.AddObject("a", "t")
@@ -202,9 +200,9 @@ func TestCSRSelfLinks(t *testing.T) {
 	if len(cols) != 2 || cols[0] != va || wts[0] != 2 {
 		t.Fatalf("self-link missing from out row: cols=%v wts=%v", cols, wts)
 	}
-	icols, iwts := net.RelationCSRTranspose(r).Row(va)
-	if len(icols) != 1 || icols[0] != va || iwts[0] != 2 {
-		t.Fatalf("self-link missing from transpose row: cols=%v wts=%v", icols, iwts)
+	from, rels, iwts := net.InLinks(va)
+	if len(from) != 1 || from[0] != va || rels[0] != r || iwts[0] != 2 {
+		t.Fatalf("self-link missing from in-links: from=%v rels=%v wts=%v", from, rels, iwts)
 	}
 }
 
@@ -234,37 +232,42 @@ func TestCSRDuplicateLinks(t *testing.T) {
 	if total := wts[0] + wts[1]; total != 3.5 {
 		t.Fatalf("duplicate weights accumulate to %v, want 3.5", total)
 	}
-	icols, iwts := net.RelationCSRTranspose(r).Row(vc)
-	if len(icols) != 2 || iwts[0]+iwts[1] != 3.5 {
-		t.Fatalf("transpose lost a duplicate: cols=%v wts=%v", icols, iwts)
+	from, rels, iwts := net.InLinks(vc)
+	if len(from) != 3 || rels[0] != r || rels[1] != r || iwts[0]+iwts[1] != 3.5 {
+		t.Fatalf("in-links lost a duplicate: from=%v rels=%v wts=%v", from, rels, iwts)
 	}
 }
 
-// TestCSRTransposeRoundTrip: transposing the transpose reproduces the out
-// view on a network with interleaved relations and asymmetric links.
-func TestCSRTransposeRoundTrip(t *testing.T) {
+// TestCSRInLinksRoundTrip: regrouping the merged in-link view by source
+// and relation reproduces every relation's out view on a network with
+// interleaved relations and asymmetric links.
+func TestCSRInLinksRoundTrip(t *testing.T) {
 	net := buildToy(t)
 	nObj := net.NumObjects()
+	rebuilt := make([]map[int][][2]float64, net.NumRelations()) // rel → from → list of (to, w)
+	for r := range rebuilt {
+		rebuilt[r] = make(map[int][][2]float64)
+	}
+	for v := 0; v < nObj; v++ {
+		from, rels, wts := net.InLinks(v)
+		for j, u := range from {
+			rebuilt[rels[j]][u] = append(rebuilt[rels[j]][u], [2]float64{float64(v), wts[j]})
+		}
+	}
 	for r := 0; r < net.NumRelations(); r++ {
 		out := net.RelationCSR(r)
-		in := net.RelationCSRTranspose(r)
-		// Rebuild an out view from the transpose and compare entry sets
-		// row by row (within-row order may legitimately differ only for
-		// duplicate columns, which buildToy does not have).
-		rebuilt := make(map[int][][2]float64) // from → list of (to, w)
-		for v := 0; v < nObj; v++ {
-			cols, wts := in.Row(v)
-			for j, u := range cols {
-				rebuilt[u] = append(rebuilt[u], [2]float64{float64(v), wts[j]})
-			}
-		}
 		for v := 0; v < nObj; v++ {
 			cols, wts := out.Row(v)
-			got := rebuilt[v]
+			got := rebuilt[r][v]
 			if len(got) != len(cols) {
-				t.Fatalf("relation %d row %d: transpose-of-transpose has %d entries, want %d", r, v, len(got), len(cols))
+				t.Fatalf("relation %d row %d: in-links hold %d entries, want %d", r, v, len(got), len(cols))
 			}
-			sort.Slice(got, func(i, j int) bool { return got[i][0] < got[j][0] })
+			sort.Slice(got, func(i, j int) bool {
+				if got[i][0] != got[j][0] {
+					return got[i][0] < got[j][0]
+				}
+				return got[i][1] < got[j][1]
+			})
 			for j := range cols {
 				if int(got[j][0]) != cols[j] || got[j][1] != wts[j] {
 					t.Fatalf("relation %d row %d entry %d: got (%v, %v), want (%d, %v)", r, v, j, got[j][0], got[j][1], cols[j], wts[j])

@@ -147,6 +147,49 @@ func (l Limits) check(doc *networkJSON) error {
 	return nil
 }
 
+// CheckNetwork verifies a built network against the limits — the post-apply
+// half of the mutation trust boundary. Limits.check bounds what a decoded
+// document may allocate before it is built; CheckNetwork bounds what a
+// network may grow into through incremental mutations, with the same
+// dimensions and the same *LimitError so servers keep answering 413.
+func (l Limits) CheckNetwork(n *Network) error {
+	if l.MaxObjects > 0 && n.NumObjects() > l.MaxObjects {
+		return &LimitError{Dimension: "objects", Got: n.NumObjects(), Max: l.MaxObjects}
+	}
+	if l.MaxLinks > 0 && n.NumEdges() > l.MaxLinks {
+		return &LimitError{Dimension: "links", Got: n.NumEdges(), Max: l.MaxLinks}
+	}
+	if l.MaxAttributes > 0 && n.NumAttrs() > l.MaxAttributes {
+		return &LimitError{Dimension: "attributes", Got: n.NumAttrs(), Max: l.MaxAttributes}
+	}
+	if l.MaxVocab > 0 {
+		for _, spec := range n.attrs {
+			if spec.VocabSize > l.MaxVocab {
+				return &LimitError{Dimension: "vocabulary", Got: spec.VocabSize, Max: l.MaxVocab}
+			}
+		}
+	}
+	if l.MaxObservations > 0 {
+		var obs int
+		for a, spec := range n.attrs {
+			switch spec.Kind {
+			case Categorical:
+				for _, tcs := range n.catObs[a] {
+					obs += len(tcs)
+				}
+			case Numeric:
+				for _, xs := range n.numObs[a] {
+					obs += len(xs)
+				}
+			}
+		}
+		if obs > l.MaxObservations {
+			return &LimitError{Dimension: "observations", Got: obs, Max: l.MaxObservations}
+		}
+	}
+	return nil
+}
+
 // FromJSONLimited parses a network serialized by MarshalJSON, re-running
 // full Builder validation, with resource limits enforced before any network
 // structure is built — so a small hostile document cannot force a large

@@ -6,8 +6,10 @@
 // titles) or lists of numeric readings (e.g. sensor temperatures).
 //
 // Networks are constructed through a Builder, validated once, and immutable
-// afterwards; adjacency is stored CSR-style so the clustering algorithms can
-// stream over out-links and in-links without per-query allocation.
+// afterwards; a changed network is a new generation spliced from its parent
+// (Network.Splice), sharing whatever the change does not touch. Adjacency
+// is stored CSR-style so the clustering algorithms can stream over
+// out-links and in-links without per-query allocation.
 package hin
 
 import (
@@ -78,19 +80,15 @@ type Network struct {
 	relations []string
 	relIndex  map[string]int
 
-	edges    []Edge // sorted by (From, Rel, To)
+	edges    []Edge // sorted by (From, Rel, To, Weight)
 	outStart []int  // CSR offsets into edges by From
 	inStart  []int  // in-link counts per object, as CSR offsets by To
 
-	// csr holds the lazily-built per-relation CSR link views the EM hot
-	// path walks (see csr.go). Built at most once per network; csrOnce
-	// makes concurrent fits of a shared network safe. The per-relation
-	// transposes (csrT) build separately on first demand — no production
-	// path consumes them yet.
-	csrOnce  sync.Once
-	csr      *csrViews
-	csrTOnce sync.Once
-	csrT     []CSR
+	// csr holds the per-relation CSR link views the EM hot path walks (see
+	// csr.go). Built at most once per network, lazily or by Splice; csrOnce
+	// makes concurrent fits of a shared network safe.
+	csrOnce sync.Once
+	csr     *csrViews
 
 	attrs     []AttrSpec
 	attrIndex map[string]int
@@ -152,7 +150,8 @@ func (n *Network) RelationID(name string) (int, bool) {
 // returned slice is shared; callers must not mutate it.
 func (n *Network) Relations() []string { return n.relations }
 
-// Edges returns all edges sorted by (From, Rel, To). Shared; do not mutate.
+// Edges returns all edges sorted by (From, Rel, To, Weight). Shared; do not
+// mutate.
 func (n *Network) Edges() []Edge { return n.edges }
 
 // OutEdges returns the out-links of object v (shared slice; do not mutate).
@@ -160,9 +159,6 @@ func (n *Network) OutEdges(v int) []Edge { return n.edges[n.outStart[v]:n.outSta
 
 // OutDegree returns the number of out-links of v.
 func (n *Network) OutDegree(v int) int { return n.outStart[v+1] - n.outStart[v] }
-
-// InDegree returns the number of in-links of v.
-func (n *Network) InDegree(v int) int { return n.inStart[v+1] - n.inStart[v] }
 
 // Attr returns the spec of attribute index a.
 func (n *Network) Attr(a int) AttrSpec { return n.attrs[a] }

@@ -219,7 +219,6 @@ func (s *Server) handleMutation(w http.ResponseWriter, r *http.Request, op delta
 		writeMutationError(w, err)
 		return
 	}
-	next.PrepareCSR()
 	dl := entry.dlog // writes happen under mutMu (held) + store.mu
 	if dl == nil {
 		dl, ok = s.openDeltaLog(w, id, entry, cur)

@@ -3,11 +3,16 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"log/slog"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -286,6 +291,106 @@ func TestRecoverAfterRestart(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestRecoveryReplayMatchesLive applies 300 mutations of all three kinds
+// through the HTTP surface, restarts on the same data dir, and checks that
+// the recovered network equals the live one bit for bit: JSON bytes, the
+// relation table, every relation's CSR and the merged in-link view.
+// Replay splices from the persisted base, which is decoded without CSR
+// views, so the first splice has to prepare its parent.
+func TestRecoveryReplayMatchesLive(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 1, DataDir: dir, SupervisorDisabled: true, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	network, _ := testNetworkJSON(t, 20, 7)
+	netID := uploadNetwork(t, ts1, network)
+
+	rng := rand.New(rand.NewSource(7))
+	ids := make([]string, 40)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("doc%04d", i)
+	}
+	type triple struct{ from, to, rel string }
+	var added []triple // links this test added and has not removed
+	rels := []string{"cites", "see-also"}
+	const mutations = 300
+	for i := 0; i < mutations; i++ {
+		method, path, doc := http.MethodPost, "/edges", ""
+		switch i % 3 {
+		case 0:
+			if len(added) > 3 && rng.Intn(3) == 0 {
+				tr := added[rng.Intn(len(added))]
+				doc = fmt.Sprintf(`{"remove":[{"from":%q,"to":%q,"rel":%q}]}`, tr.from, tr.to, tr.rel)
+				// Removal takes every parallel copy of the triple.
+				added = slices.DeleteFunc(added, func(o triple) bool { return o == tr })
+				break
+			}
+			tr := triple{ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))], rels[rng.Intn(len(rels))]}
+			added = append(added, tr)
+			doc = fmt.Sprintf(`{"add":[{"from":%q,"to":%q,"rel":%q,"w":%g}]}`, tr.from, tr.to, tr.rel, float64(1+rng.Intn(8))/4)
+		case 1:
+			id := fmt.Sprintf("new%04d", i)
+			path = "/objects"
+			doc = fmt.Sprintf(`{"objects":[{"id":%q,"type":"doc","terms":{"text":[{"t":%d,"c":1},{"t":%d,"c":2}]}}],"links":[{"from":%q,"to":%q,"rel":"cites","w":1}]}`,
+				id, rng.Intn(20), rng.Intn(20), id, ids[rng.Intn(len(ids))])
+			ids = append(ids, id)
+		case 2:
+			method, path = http.MethodPatch, "/attributes"
+			terms := "[]" // a clear
+			if rng.Intn(3) > 0 {
+				terms = fmt.Sprintf(`[{"t":%d,"c":3}]`, rng.Intn(20))
+			}
+			doc = fmt.Sprintf(`{"set":[{"id":%q,"terms":{"text":%s}}]}`, ids[rng.Intn(len(ids))], terms)
+		}
+		if code, resp := mutate(t, ts1, method, "/v1/networks/"+netID+path, doc); code != http.StatusOK || resp.Generation != i+1 {
+			t.Fatalf("mutation %d (%s): status %d, generation %d", i, doc, code, resp.Generation)
+		}
+	}
+	entry, ok := s1.store.networkEntry(netID)
+	if !ok {
+		t.Fatal("live network gone")
+	}
+	live := entry.net
+	ts1.Close()
+	s1.Close()
+
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if rec := s2.Recovered(); rec.Networks != 1 || rec.Mutations != mutations || rec.SkippedBlobs != 0 {
+		t.Fatalf("recovery stats: %+v", rec)
+	}
+	entry, ok = s2.store.networkEntry(netID)
+	if !ok {
+		t.Fatal("network not recovered")
+	}
+	got := entry.net
+	liveJSON, _ := live.MarshalJSON()
+	gotJSON, _ := got.MarshalJSON()
+	if !bytes.Equal(gotJSON, liveJSON) {
+		t.Fatal("recovered network JSON differs from the live network")
+	}
+	if !slices.Equal(got.Relations(), live.Relations()) {
+		t.Fatalf("recovered relations %v, live %v", got.Relations(), live.Relations())
+	}
+	for r := 0; r < live.NumRelations(); r++ {
+		g, l := got.RelationCSR(r), live.RelationCSR(r)
+		if !slices.Equal(g.Start, l.Start) || !slices.Equal(g.Col, l.Col) || !slices.Equal(g.Weight, l.Weight) {
+			t.Fatalf("recovered CSR of relation %q differs from the live one", live.RelationName(r))
+		}
+	}
+	gs, gf, gr, gw := got.InLinkArrays()
+	ls, lf, lr, lw := live.InLinkArrays()
+	if !slices.Equal(gs, ls) || !slices.Equal(gf, lf) || !slices.Equal(gr, lr) || !slices.Equal(gw, lw) {
+		t.Fatal("recovered in-link view differs from the live one")
 	}
 }
 
