@@ -359,9 +359,10 @@ type Health struct {
 	Networks      int            `json:"networks"`       // stored (non-evicted) networks
 	Models        int            `json:"models"`         // registered models
 	Jobs          map[string]int `json:"jobs"`           // job count per state
-	// PersistFailures counts fits whose snapshot or record failed to reach
-	// the server's data dir (served memory-only until restart); nonzero
-	// means durability is degraded on the server.
+	// PersistFailures counts persistence writes (fit snapshots and
+	// records, synced models, base networks, delta-log records) that failed
+	// to reach the server's data dir; nonzero means durability is degraded
+	// on the server.
 	PersistFailures int64 `json:"persist_failures"`
 	// Assign surfaces the server's online-inference counters: assign
 	// request/object volume, micro-batching ratio, and engine cache

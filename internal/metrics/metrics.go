@@ -56,8 +56,9 @@ type Gauge struct {
 // Set stores the gauge value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add moves the gauge by n (negative allowed).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
+// Add moves the gauge by n (negative allowed) and returns the new value,
+// so a gauge can double as the count an admission check compares.
+func (g *Gauge) Add(n int64) int64 { return g.v.Add(n) }
 
 // Value returns the current gauge value.
 func (g *Gauge) Value() int64 { return g.v.Load() }

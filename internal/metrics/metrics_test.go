@@ -20,7 +20,9 @@ func TestCounterGaugeRender(t *testing.T) {
 	}
 	g := r.Gauge("app_depth", "Queue depth.")
 	g.Set(7)
-	g.Add(-2)
+	if v := g.Add(-2); v != 5 {
+		t.Fatalf("Gauge.Add returned %d, want the new value 5", v)
+	}
 	r.GaugeFunc("app_uptime", "Computed.", func() float64 { return 1.5 })
 
 	var b strings.Builder

@@ -221,9 +221,9 @@ type manager struct {
 	// published — the server hooks model registration and persistence here,
 	// so "done" already implies "durable".
 	onDone func(j *job, finished time.Time)
-	// met and log, when set by the server, receive per-job observability:
-	// queue-wait and run-time histograms, terminal-state counters, EM
-	// iteration counts, and structured start/finish lines keyed by job ID.
+	// met and log receive per-job observability: queue-wait and run-time
+	// histograms, terminal-state counters, EM iteration counts, and
+	// structured start/finish lines keyed by job ID.
 	met *serverMetrics
 	log *slog.Logger
 
@@ -232,13 +232,15 @@ type manager struct {
 	wg   sync.WaitGroup
 }
 
-func newManager(st *store, workers, depth int, now func() time.Time) *manager {
+func newManager(st *store, workers, depth int, now func() time.Time, met *serverMetrics, log *slog.Logger) *manager {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &manager{
 		store:   st,
 		queue:   make(chan *job, depth),
 		workers: workers,
 		now:     now,
+		met:     met,
+		log:     log,
 		ctx:     ctx,
 		stop:    cancel,
 	}
@@ -299,22 +301,16 @@ func (m *manager) close() {
 // the state counter plus a structured log line keyed by job ID. Callers
 // that know the job ran also observe run time via observeRun.
 func (m *manager) countTerminal(j *job, state jobState, errMsg string) {
-	if m.met != nil {
-		if c, ok := m.met.fitJobs[state]; ok {
-			c.Inc()
-		}
+	m.met.fitJobs[state].Inc()
+	level := slog.LevelInfo
+	if state == jobFailed {
+		level = slog.LevelWarn
 	}
-	if m.log != nil {
-		level := slog.LevelInfo
-		if state == jobFailed {
-			level = slog.LevelWarn
-		}
-		m.log.LogAttrs(context.Background(), level, "job finished",
-			slog.String("job", j.id),
-			slog.String("state", string(state)),
-			slog.String("error", errMsg),
-		)
-	}
+	m.log.LogAttrs(context.Background(), level, "job finished",
+		slog.String("job", j.id),
+		slog.String("state", string(state)),
+		slog.String("error", errMsg),
+	)
 }
 
 func (m *manager) worker() {
@@ -356,16 +352,12 @@ func (m *manager) run(j *job) {
 	pinned := j.net
 	j.mu.Unlock()
 	j.span.Record("job.queue_wait", j.created, started)
-	if m.met != nil {
-		m.met.fitQueueWait.Observe(started.Sub(j.created).Seconds())
-	}
-	if m.log != nil {
-		m.log.LogAttrs(context.Background(), slog.LevelInfo, "job started",
-			slog.String("job", j.id),
-			slog.String("network", j.networkID),
-			slog.Duration("queue_wait", started.Sub(j.created)),
-		)
-	}
+	m.met.fitQueueWait.Observe(started.Sub(j.created).Seconds())
+	m.log.LogAttrs(context.Background(), slog.LevelInfo, "job started",
+		slog.String("job", j.id),
+		slog.String("network", j.networkID),
+		slog.Duration("queue_wait", started.Sub(j.created)),
+	)
 	// finishRun settles a job this worker actually started: the terminal
 	// transition plus run-time observation (metrics only count a
 	// transition this call performed — a racing cancel already counted).
@@ -373,9 +365,7 @@ func (m *manager) run(j *job) {
 		if !j.finish(state, errMsg, finished) {
 			return
 		}
-		if m.met != nil {
-			m.met.fitRun.Observe(finished.Sub(started).Seconds())
-		}
+		m.met.fitRun.Observe(finished.Sub(started).Seconds())
 		m.countTerminal(j, state, errMsg)
 	}
 
@@ -416,9 +406,7 @@ func (m *manager) run(j *job) {
 			// finishes fast but the job seems slow.
 			j.span.Record("job.persist", finished, m.now())
 		}
-		if m.met != nil {
-			m.met.fitEMIters.Observe(float64(res.EMIterations))
-		}
+		m.met.fitEMIters.Observe(float64(res.EMIterations))
 		finishRun(jobDone, "", finished)
 	case errors.Is(err, context.Canceled):
 		msg := "cancelled"

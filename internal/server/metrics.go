@@ -3,10 +3,12 @@ package server
 import (
 	"context"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"genclus/internal/metrics"
@@ -24,10 +26,11 @@ import (
 // per-route write deadline (SSE streams exempt — they are supposed to
 // outlive any single write budget).
 
-// serverMetrics holds every pre-registered instrument. The assign
-// counters mirror the /healthz assign block (incremented together, inside
-// the same critical section — see assignCounters); the parity between the
-// two surfaces is pinned by TestHealthzMetricsParity.
+// serverMetrics holds every pre-registered instrument, and is the only
+// place the daemon's counters live: /healthz is a view over these same
+// instruments (assignStats, Server.mutationStats), never a second copy.
+// It is built before anything that records into it, so no code path runs
+// without it.
 type serverMetrics struct {
 	reg *metrics.Registry
 
@@ -57,6 +60,10 @@ type serverMetrics struct {
 	supervisorRefitsTriggered *metrics.Counter
 	supervisorRefitsSucceeded *metrics.Counter
 	supervisorRefitsFailed    *metrics.Counter
+	// supervisorDrift holds the float64 bits of the most recent drift
+	// score any supervisor computed; genclus_supervisor_drift_score and
+	// /healthz both read it.
+	supervisorDrift atomic.Uint64
 
 	persistFailures *metrics.Counter
 }
@@ -108,7 +115,7 @@ func (s *Server) newServerMetrics() *serverMetrics {
 		supervisorRefitsFailed: reg.Counter("genclus_supervisor_refits_failed_total",
 			"Supervisor-triggered refits that failed, were cancelled, or could not be prepared."),
 		persistFailures: reg.Counter("genclus_persist_failures_total",
-			"Fits whose snapshot or job record failed to reach the data dir (durability degraded)."),
+			"Persistence writes that failed to reach the data dir: fit snapshots and job records, synced models, base networks, and delta-log open, append and purge (durability degraded)."),
 	}
 	for _, st := range []jobState{jobDone, jobFailed, jobCancelled} {
 		m.fitJobs[st] = reg.Counter("genclus_fit_jobs_total",
@@ -140,7 +147,7 @@ func (s *Server) newServerMetrics() *serverMetrics {
 		func() float64 { return float64(s.store.numSupervisors()) })
 	reg.GaugeFunc("genclus_supervisor_drift_score",
 		"Most recent drift score any supervisor computed (mean TV distance, 0..1).",
-		func() float64 { return s.mutationStats.driftScore() })
+		m.driftScore)
 	for _, st := range []jobState{jobQueued, jobRunning, jobDone, jobFailed, jobCancelled} {
 		st := st
 		reg.GaugeFunc("genclus_jobs",
@@ -183,11 +190,76 @@ func (s *Server) newServerMetrics() *serverMetrics {
 	return m
 }
 
+// recordPass accounts one engine pass of `requests` coalesced calls
+// scoring `objects` query objects. The counters move in the order objects,
+// requests, passes, batched, and assignStats loads them in the reverse
+// order: Go's atomics are sequentially consistent, so every /healthz read
+// sees batched_requests ≤ requests ≤ objects and engine_passes ≤ requests
+// without a lock.
+func (m *serverMetrics) recordPass(requests, objects int, coalesced bool, elapsed time.Duration) {
+	m.assignObjects.Add(int64(objects))
+	m.assignRequests.Add(int64(requests))
+	m.assignPasses.Inc()
+	if coalesced {
+		m.assignBatched.Add(int64(requests))
+	}
+	m.assignOccupancy.Observe(float64(objects))
+	m.assignPassSecs.Observe(elapsed.Seconds())
+}
+
+// assignStats is the /healthz assign block, read off the assign
+// instruments in the reverse of recordPass's write order.
+func (m *serverMetrics) assignStats() assignStatsResponse {
+	batched := m.assignBatched.Value()
+	passes := m.assignPasses.Value()
+	requests := m.assignRequests.Value()
+	objects := m.assignObjects.Value()
+	var shed int64
+	for _, c := range m.assignShed {
+		shed += c.Value()
+	}
+	return assignStatsResponse{
+		Requests:          requests,
+		Objects:           objects,
+		BatchedRequests:   batched,
+		EnginePasses:      passes,
+		EngineCacheHits:   m.assignCacheHits.Value(),
+		EngineCacheMisses: m.assignCacheMisses.Value(),
+		ShedRequests:      shed,
+	}
+}
+
+// setDriftScore records the latest drift score a supervisor computed.
+func (m *serverMetrics) setDriftScore(score float64) {
+	m.supervisorDrift.Store(math.Float64bits(score))
+}
+
+// driftScore reads the latest recorded drift score.
+func (m *serverMetrics) driftScore() float64 {
+	return math.Float64frombits(m.supervisorDrift.Load())
+}
+
+// mutationStats is the /healthz mutation block: the mutation and
+// supervisor instruments plus the store-derived depth and supervisor
+// count the genclus_deltalog_depth and genclus_supervisors gauges read.
+func (s *Server) mutationStats() mutationStatsResponse {
+	m := s.metrics
+	return mutationStatsResponse{
+		Mutations:       m.networkMutations.Value(),
+		DeltaLogDepth:   int64(s.store.deltaDepth()),
+		Supervisors:     int64(s.store.numSupervisors()),
+		DriftScore:      m.driftScore(),
+		RefitsTriggered: m.supervisorRefitsTriggered.Value(),
+		RefitsSucceeded: m.supervisorRefitsSucceeded.Value(),
+		RefitsFailed:    m.supervisorRefitsFailed.Value(),
+	}
+}
+
 // ---- runtime telemetry ----
 
-// runtimeStatsResponse is the /healthz runtime block, mirrored 1:1 onto the
-// genclus_goroutines / genclus_heap_alloc_bytes / genclus_gc_* gauges
-// (parity pinned by TestHealthzMetricsParity).
+// runtimeStatsResponse is the /healthz runtime block; it and the
+// genclus_goroutines / genclus_heap_alloc_bytes / genclus_gc_* gauges read
+// one cached sample (runtimeTelemetry).
 type runtimeStatsResponse struct {
 	Goroutines          int     `json:"goroutines"`
 	HeapAllocBytes      uint64  `json:"heap_alloc_bytes"`

@@ -8,8 +8,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -41,12 +41,110 @@ func fetchHealth(t *testing.T, ts *httptest.Server) healthResponse {
 	return h
 }
 
-// TestMetricsEndpoint drives a fit and an assign, then checks that GET
-// /metrics serves the Prometheus text format with the fit, assign, cache,
-// persistence, and HTTP families populated.
+// parseScrape maps every series of a /metrics scrape ("name{labels}") to
+// its value.
+func parseScrape(t *testing.T, out string) map[string]float64 {
+	t.Helper()
+	vals := map[string]float64{}
+	for _, line := range strings.Split(out, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("unparsable series line %q", line)
+		}
+		vals[line[:i]] = v
+	}
+	return vals
+}
+
+// healthzSeries pairs a numeric /healthz field with the /metrics series it
+// is read from; a field that totals a labelled family lists every series.
+type healthzSeries struct {
+	field  string
+	value  float64
+	series []string
+}
+
+// healthzCounters lists every numeric /healthz counter that has a /metrics
+// series, with its value in h.
+func healthzCounters(h healthResponse) []healthzSeries {
+	a, m := h.Assign, h.Mutation
+	rows := []healthzSeries{
+		{"networks", float64(h.Networks), []string{"genclus_networks"}},
+		{"models", float64(h.Models), []string{"genclus_models"}},
+		{"persist_failures", float64(h.PersistFailures), []string{"genclus_persist_failures_total"}},
+		{"assign.requests", float64(a.Requests), []string{"genclus_assign_requests_total"}},
+		{"assign.objects", float64(a.Objects), []string{"genclus_assign_objects_total"}},
+		{"assign.batched_requests", float64(a.BatchedRequests), []string{"genclus_assign_batched_requests_total"}},
+		{"assign.engine_passes", float64(a.EnginePasses), []string{"genclus_assign_engine_passes_total"}},
+		{"assign.engine_cache_hits", float64(a.EngineCacheHits), []string{"genclus_assign_engine_cache_hits_total"}},
+		{"assign.engine_cache_misses", float64(a.EngineCacheMisses), []string{"genclus_assign_engine_cache_misses_total"}},
+		{"assign.shed_requests", float64(a.ShedRequests), []string{
+			`genclus_assign_shed_total{reason="queue_full"}`,
+			`genclus_assign_shed_total{reason="in_flight"}`,
+			`genclus_assign_shed_total{reason="rate_limit"}`,
+		}},
+		{"mutation.mutations", float64(m.Mutations), []string{"genclus_network_mutations_total"}},
+		{"mutation.delta_log_depth", float64(m.DeltaLogDepth), []string{"genclus_deltalog_depth"}},
+		{"mutation.supervisors", float64(m.Supervisors), []string{"genclus_supervisors"}},
+		{"mutation.drift_score", m.DriftScore, []string{"genclus_supervisor_drift_score"}},
+		{"mutation.refits_triggered", float64(m.RefitsTriggered), []string{"genclus_supervisor_refits_triggered_total"}},
+		{"mutation.refits_succeeded", float64(m.RefitsSucceeded), []string{"genclus_supervisor_refits_succeeded_total"}},
+		{"mutation.refits_failed", float64(m.RefitsFailed), []string{"genclus_supervisor_refits_failed_total"}},
+	}
+	for _, st := range []jobState{jobQueued, jobRunning, jobDone, jobFailed, jobCancelled} {
+		rows = append(rows, healthzSeries{"jobs." + string(st), float64(h.Jobs[st]),
+			[]string{`genclus_jobs{state="` + string(st) + `"}`}})
+	}
+	return rows
+}
+
+// assertHealthzMatchesScrape checks that every /healthz counter equals the
+// (summed) value of its /metrics series, and that each series is present.
+func assertHealthzMatchesScrape(t *testing.T, h healthResponse, scrape map[string]float64) {
+	t.Helper()
+	for _, row := range healthzCounters(h) {
+		sum := 0.0
+		for _, name := range row.series {
+			v, ok := scrape[name]
+			if !ok {
+				t.Errorf("healthz %s: series %s absent from /metrics", row.field, name)
+			}
+			sum += v
+		}
+		if sum != row.value {
+			t.Errorf("healthz %s = %v, /metrics %v = %v", row.field, row.value, row.series, sum)
+		}
+	}
+}
+
+// TestMetricsEndpoint drives a fit, an assign, a shed assign and a
+// mutation, then checks that GET /metrics serves the Prometheus text
+// format with the fit, assign, cache, persistence, and HTTP families
+// populated, and that every numeric /healthz counter reads the same value
+// as its /metrics series — on a fresh server (all present at 0) and after
+// the traffic.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1})
-	modelID, res := assignFixture(t, ts)
+	_, ts := testServer(t, Config{
+		Workers:            1,
+		AssignRPS:          0.01, // one admitted assign, the next one shed
+		AssignBurst:        1,
+		SupervisorDisabled: true, // no background refit moves a counter between reads
+	})
+
+	fresh := fetchHealth(t, ts)
+	for _, row := range healthzCounters(fresh) {
+		if row.value != 0 {
+			t.Errorf("fresh server: healthz %s = %v, want 0", row.field, row.value)
+		}
+	}
+	assertHealthzMatchesScrape(t, fresh, parseScrape(t, scrapeMetrics(t, ts)))
+
+	jobID, status := finishJob(t, ts, 1)
+	modelID, res := status.ModelID, fetchResult(t, ts, jobID)
 
 	obj := res.Objects[0]
 	req := infer.RequestDoc{Objects: []infer.ObjectDoc{{ID: "q0", Links: []infer.LinkDoc{{Relation: "cites", To: obj.ID, Weight: 1}}}}}
@@ -96,123 +194,19 @@ func TestMetricsEndpoint(t *testing.T) {
 	if t.Failed() {
 		t.Logf("scrape:\n%s", out)
 	}
-}
 
-// healthzMetricNames pins the /healthz counter → /metrics name mapping the
-// parity lint enforces. Adding a counter to the healthz payload without a
-// /metrics counterpart (and a row here) fails TestHealthzMetricsParity.
-var healthzMetricNames = map[string]string{
-	"networks":                   "genclus_networks",
-	"models":                     "genclus_models",
-	"jobs":                       "genclus_jobs",
-	"persist_failures":           "genclus_persist_failures_total",
-	"assign.requests":            "genclus_assign_requests_total",
-	"assign.objects":             "genclus_assign_objects_total",
-	"assign.batched_requests":    "genclus_assign_batched_requests_total",
-	"assign.engine_passes":       "genclus_assign_engine_passes_total",
-	"assign.engine_cache_hits":   "genclus_assign_engine_cache_hits_total",
-	"assign.engine_cache_misses": "genclus_assign_engine_cache_misses_total",
-	"assign.shed_requests":       "genclus_assign_shed_total",
-
-	"mutation.mutations":        "genclus_network_mutations_total",
-	"mutation.delta_log_depth":  "genclus_deltalog_depth",
-	"mutation.supervisors":      "genclus_supervisors",
-	"mutation.drift_score":      "genclus_supervisor_drift_score",
-	"mutation.refits_triggered": "genclus_supervisor_refits_triggered_total",
-	"mutation.refits_succeeded": "genclus_supervisor_refits_succeeded_total",
-	"mutation.refits_failed":    "genclus_supervisor_refits_failed_total",
-
-	"replication.lag_seconds":    "genclus_replica_lag_seconds",
-	"replication.syncs":          "genclus_replica_syncs_total",
-	"replication.sync_errors":    "genclus_replica_sync_errors_total",
-	"replication.models_synced":  "genclus_replica_models_synced_total",
-	"replication.models_deleted": "genclus_replica_models_deleted_total",
-
-	"runtime.goroutines":             "genclus_goroutines",
-	"runtime.heap_alloc_bytes":       "genclus_heap_alloc_bytes",
-	"runtime.gc_pause_total_seconds": "genclus_gc_pause_total_seconds",
-	"runtime.gc_cycles":              "genclus_gc_cycles_total",
-}
-
-// healthzNonCounters are healthz fields that are liveness/config metadata,
-// not counters — exempt from the parity requirement.
-var healthzNonCounters = map[string]bool{
-	"status":         true,
-	"uptime_seconds": true,
-	"workers":        true,
-
-	// Replication identity/diagnostic fields: role metadata and the last
-	// error message, not counters.
-	"replication.active":               true,
-	"replication.primary":              true,
-	"replication.consecutive_failures": true,
-	"replication.last_sync":            true,
-	"replication.last_error":           true,
-}
-
-// TestHealthzMetricsParity is the parity lint: every counter surfaced on
-// /healthz must have a pinned /metrics counterpart, and every pinned name
-// must actually appear on a fresh server's scrape (instruments are
-// pre-created, not born on first increment).
-func TestHealthzMetricsParity(t *testing.T) {
-	var fields []string
-	collect := func(prefix string, typ reflect.Type) {
-		for i := 0; i < typ.NumField(); i++ {
-			f := typ.Field(i)
-			tag := strings.Split(f.Tag.Get("json"), ",")[0]
-			if tag == "" || tag == "-" {
-				continue
-			}
-			if f.Type == reflect.TypeOf(assignStatsResponse{}) {
-				continue // flattened below under "assign."
-			}
-			if f.Type == reflect.TypeOf(mutationStatsResponse{}) {
-				continue // flattened below under "mutation."
-			}
-			if f.Type == reflect.TypeOf(replicationStatsResponse{}) {
-				continue // flattened below under "replication."
-			}
-			if f.Type == reflect.TypeOf(runtimeStatsResponse{}) {
-				continue // flattened below under "runtime."
-			}
-			fields = append(fields, prefix+tag)
-		}
+	if code, body := postAssign(t, ts, modelID, req); code != http.StatusTooManyRequests {
+		t.Fatalf("second assign: %d, want 429 from the rate limit: %s", code, body)
 	}
-	collect("", reflect.TypeOf(healthResponse{}))
-	collect("assign.", reflect.TypeOf(assignStatsResponse{}))
-	collect("mutation.", reflect.TypeOf(mutationStatsResponse{}))
-	collect("replication.", reflect.TypeOf(replicationStatsResponse{}))
-	collect("runtime.", reflect.TypeOf(runtimeStatsResponse{}))
-
-	for _, f := range fields {
-		if healthzNonCounters[f] {
-			continue
-		}
-		if _, ok := healthzMetricNames[f]; !ok {
-			t.Errorf("healthz field %q has no pinned /metrics counterpart; add the metric and a healthzMetricNames row", f)
-		}
+	if code, _ := mutate(t, ts, http.MethodPost, "/v1/networks/"+status.NetworkID+"/edges",
+		`{"add":[{"from":"doc0000","to":"doc0001","rel":"cites","w":1}]}`); code != http.StatusOK {
+		t.Fatalf("mutation: %d", code)
 	}
-	for f := range healthzMetricNames {
-		found := false
-		for _, have := range fields {
-			if have == f {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("healthzMetricNames pins %q, which is no longer a healthz field", f)
-		}
+	h := fetchHealth(t, ts)
+	if h.Assign.ShedRequests != 1 || h.Mutation.Mutations != 1 || h.Jobs[jobDone] != 1 {
+		t.Fatalf("healthz did not count the traffic: %+v", h)
 	}
-
-	_, ts := testServer(t, Config{Workers: 1})
-	out := scrapeMetrics(t, ts)
-	for field, metric := range healthzMetricNames {
-		// Name must appear as a series or TYPE line even before any
-		// increment (pre-created instruments).
-		if !strings.Contains(out, "# TYPE "+metric+" ") {
-			t.Errorf("healthz %q: metric %s absent from a fresh scrape", field, metric)
-		}
-	}
+	assertHealthzMatchesScrape(t, h, parseScrape(t, scrapeMetrics(t, ts)))
 }
 
 // blockedPassServer builds a server whose engine passes block until the
@@ -225,7 +219,6 @@ func blockedPassServer(t *testing.T, cfg Config) (*Server, *httptest.Server, cha
 	block := make(chan struct{})
 	var once sync.Once
 	release := func() { once.Do(func() { close(block) }) }
-	t.Cleanup(release)
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -242,6 +235,9 @@ func blockedPassServer(t *testing.T, cfg Config) (*Server, *httptest.Server, cha
 		ts.Close()
 		s.Close()
 	})
+	// Registered last so it runs first: a test that fails while a pass is
+	// held must not leave ts.Close waiting on the blocked request.
+	t.Cleanup(release)
 	return s, ts, entered, release
 }
 
@@ -434,6 +430,37 @@ func TestAssignOverloadInFlightCap(t *testing.T) {
 	if code, _ := singleLinkAssign(t, ts, modelID, target, "after"); code != http.StatusOK {
 		t.Fatalf("post-release assign: %d", code)
 	}
+}
+
+// TestAssignInFlightGaugeUncapped holds one request inside its engine pass
+// with the in-flight cap disabled and checks genclus_assign_in_flight still
+// counts it: the gauge is the one in-flight count, capped or not.
+func TestAssignInFlightGaugeUncapped(t *testing.T) {
+	_, ts, entered, release := blockedPassServer(t, Config{
+		Workers:           1,
+		AssignBatchWindow: -1,
+		MaxAssignInFlight: -1,
+	})
+	modelID, res := assignFixture(t, ts)
+	target := res.Objects[0].ID
+
+	heldDone := make(chan int, 1)
+	go func() {
+		code, _ := singleLinkAssign(t, ts, modelID, target, "held")
+		heldDone <- code
+	}()
+	<-entered
+	if out := scrapeMetrics(t, ts); !strings.Contains(out, "genclus_assign_in_flight 1\n") {
+		t.Fatalf("held request not counted in flight with the cap disabled:\n%s", out)
+	}
+
+	release()
+	if code := <-heldDone; code != http.StatusOK {
+		t.Fatalf("held request finished %d, want 200", code)
+	}
+	waitFor(t, 10*time.Second, func() bool {
+		return strings.Contains(scrapeMetrics(t, ts), "genclus_assign_in_flight 0\n")
+	})
 }
 
 // TestAssignRateLimit drives the token bucket on a fake clock: the burst

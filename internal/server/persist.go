@@ -116,19 +116,14 @@ func (s *Server) persistFinishedJob(j *job, finished time.Time) {
 	}
 }
 
-// persistFailure is the degraded-durability signal: one structured log
-// line per failure plus a monotonic counter surfaced on both /healthz
-// (persist_failures) and /metrics (genclus_persist_failures_total).
+// persistFailure is the degraded-durability signal for any persistence
+// write that failed to reach the data dir — fit snapshots and job records,
+// synced models, base networks, and delta-log open, append and purge: one
+// structured log line per failure plus genclus_persist_failures_total,
+// which /healthz serves as persist_failures.
 func (s *Server) persistFailure(what string, err error) {
-	s.persistFailures.Add(1)
-	if s.metrics != nil {
-		s.metrics.persistFailures.Inc()
-	}
-	logger := s.log
-	if logger == nil {
-		logger = slog.Default()
-	}
-	logger.LogAttrs(context.Background(), slog.LevelError, "persistence degraded",
+	s.metrics.persistFailures.Inc()
+	s.log.LogAttrs(context.Background(), slog.LevelError, "persistence degraded",
 		slog.String("what", what),
 		slog.String("error", err.Error()),
 	)

@@ -78,7 +78,6 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"genclus/internal/core"
@@ -362,27 +361,17 @@ type Server struct {
 	// persistence is disabled.
 	blobs     *diskstore.Store
 	recovered RecoveryStats
-	// persistFailures counts degraded-durability events (failed snapshot or
-	// record writes); surfaced on /healthz so a sick volume is visible.
-	persistFailures atomic.Int64
 	// assignCache holds the per-model inference engines behind their
-	// micro-batching dispatchers (see assign.go); assignStats are the
-	// monotone /healthz assign counters, snapshotted consistently under
-	// one lock and mirrored into /metrics.
-	assignCache assignEngines
-	assignStats assignCounters
-	// assignInFlight counts assign requests inside admission control;
-	// assignLimiter is the optional token-bucket rate limiter (nil: off).
-	assignInFlight atomic.Int64
-	assignLimiter  *tokenBucket
+	// micro-batching dispatchers (see assign.go); assignLimiter is the
+	// optional token-bucket rate limiter (nil: off).
+	assignCache   assignEngines
+	assignLimiter *tokenBucket
 	// assignPassHook, when set (tests), runs at the start of every engine
 	// pass — it lets overload tests hold a pass open deterministically.
 	assignPassHook func()
-	// mutationStats are the monotone /healthz mutation counters (see
-	// mutate.go), mirrored into /metrics like assignStats.
-	mutationStats mutationCounters
 	// log and metrics are the operations surface: structured logs and the
-	// /metrics instrument registry (see metrics.go).
+	// /metrics instrument registry, which holds every counter the daemon
+	// keeps — /healthz reads the same instruments (see metrics.go).
 	log     *slog.Logger
 	metrics *serverMetrics
 	// tracer records every request, job, sync-pass and supervisor-decision
@@ -415,9 +404,12 @@ func New(cfg Config) (*Server, error) {
 		store:    st,
 		mux:      http.NewServeMux(),
 		started:  cfg.now(),
+		log:      cfg.Logger,
+		tracer:   trace.NewRecorder(cfg.MaxTraces),
 		sweeper:  make(chan struct{}),
 		draining: make(chan struct{}),
 	}
+	s.metrics = s.newServerMetrics()
 	s.assignCache.cap = cfg.MaxAssignEngines
 	if cfg.DataDir != "" {
 		blobs, err := diskstore.Open(cfg.DataDir)
@@ -429,15 +421,8 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: recover data dir: %w", err)
 		}
 	}
-	s.manager = newManager(st, cfg.Workers, cfg.QueueDepth, cfg.now)
+	s.manager = newManager(st, cfg.Workers, cfg.QueueDepth, cfg.now, s.metrics, s.log)
 	s.manager.onDone = s.persistFinishedJob
-	s.log = cfg.Logger
-	s.tracer = trace.NewRecorder(cfg.MaxTraces)
-	s.metrics = s.newServerMetrics()
-	s.assignStats.met = s.metrics
-	s.mutationStats.met = s.metrics
-	s.manager.met = s.metrics
-	s.manager.log = s.log
 	if cfg.AssignRPS > 0 {
 		s.assignLimiter = newTokenBucket(cfg.AssignRPS, cfg.AssignBurst, cfg.now)
 	}
@@ -742,9 +727,10 @@ type healthResponse struct {
 	Networks      int              `json:"networks"`
 	Models        int              `json:"models"`
 	Jobs          map[jobState]int `json:"jobs"`
-	// PersistFailures counts fits whose snapshot or record failed to reach
-	// the data dir (served memory-only until restart). Nonzero means the
-	// durability contract is degraded — check the volume and the logs.
+	// PersistFailures counts persistence writes that failed to reach the
+	// data dir (genclus_persist_failures_total; the affected state is
+	// served memory-only until restart). Nonzero means the durability
+	// contract is degraded — check the volume and the logs.
 	PersistFailures int64 `json:"persist_failures"`
 	// Assign surfaces the online-inference counters: request/object
 	// volume, the micro-batching coalescing ratio, and engine-cache
@@ -1106,9 +1092,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Networks:        s.store.numNetworks(),
 		Models:          s.store.numModels(),
 		Jobs:            s.store.jobCounts(),
-		PersistFailures: s.persistFailures.Load(),
-		Assign:          s.assignStats.snapshot(),
-		Mutation:        s.mutationStats.snapshot(s.store),
+		PersistFailures: s.metrics.persistFailures.Value(),
+		Assign:          s.metrics.assignStats(),
+		Mutation:        s.mutationStats(),
 		Replication:     s.replicationStats(),
 		Runtime:         s.runtimeTelemetry(),
 	})

@@ -218,7 +218,7 @@ func (sup *supervisor) evaluate() {
 	sup.mu.Lock()
 	sup.lastDrift = drift
 	sup.mu.Unlock()
-	s.mutationStats.recordDrift(drift)
+	s.metrics.setDriftScore(drift)
 	reason := ""
 	if mp := s.cfg.SupervisorMaxPending; mp > 0 && pending >= mp {
 		reason = "pending"
@@ -271,7 +271,7 @@ func (sup *supervisor) triggerRefit(net *hin.Network, gen int, e *modelEntry, dr
 		sup.lastRefitGen = gen
 		sup.failed++
 		sup.mu.Unlock()
-		s.mutationStats.refitFailed()
+		s.metrics.supervisorRefitsFailed.Inc()
 		s.log.LogAttrs(context.Background(), slog.LevelWarn, "supervisor refit rejected",
 			slog.String("network", sup.networkID),
 			slog.String("model", e.id),
@@ -312,7 +312,7 @@ func (sup *supervisor) triggerRefit(net *hin.Network, gen int, e *modelEntry, dr
 	sup.touched = nil
 	sup.touchedSet = nil
 	sup.mu.Unlock()
-	s.mutationStats.refitTriggered()
+	s.metrics.supervisorRefitsTriggered.Inc()
 	s.log.LogAttrs(context.Background(), slog.LevelInfo, "supervisor refit triggered",
 		slog.String("network", sup.networkID),
 		slog.String("job", j.id),
@@ -341,7 +341,7 @@ func (sup *supervisor) settleRefit() {
 		sup.succeeded++
 		sup.lastModelID = snap.modelID
 		sup.mu.Unlock()
-		sup.s.mutationStats.refitSucceeded()
+		sup.s.metrics.supervisorRefitsSucceeded.Inc()
 		sup.s.log.LogAttrs(context.Background(), slog.LevelInfo, "supervisor refit published",
 			slog.String("network", sup.networkID),
 			slog.String("job", j.id),
@@ -353,7 +353,7 @@ func (sup *supervisor) settleRefit() {
 	sup.mu.Lock()
 	sup.failed++
 	sup.mu.Unlock()
-	sup.s.mutationStats.refitFailed()
+	sup.s.metrics.supervisorRefitsFailed.Inc()
 	sup.s.log.LogAttrs(context.Background(), slog.LevelWarn, "supervisor refit failed",
 		slog.String("network", sup.networkID),
 		slog.String("job", j.id),
