@@ -1,6 +1,6 @@
 // The fit-performance benchmark harness. BenchmarkFitRefit (cold fit vs
 // warm refit) and BenchmarkEMIteration (one steady-state E+M pass over the
-// CSR link storage) are the committed perf baselines: an unfiltered run
+// link storage) are the committed perf baselines: an unfiltered run
 // (any -benchtime) rewrites its own entries in BENCH_fit.json at the repo
 // root, so the file tracks the code and future PRs have a trajectory to
 // compare against. CI runs both with -benchtime=1x as a smoke pass and
@@ -282,7 +282,7 @@ func BenchmarkAssignBatch(b *testing.B) {
 
 // BenchmarkEMIteration measures one steady-state E+M pass of the EM hot
 // path on the mid-size synthetic network (4000 objects, ~24k links, two
-// relations, K=4) — the number the CSR link storage and the preallocated
+// relations, K=4) — the number the link storage layout and the preallocated
 // scratch exist to improve. Allocations are the headline: the steady state
 // must stay at 0 allocs/op (TestEMIterationSteadyStateZeroAlloc enforces
 // the same invariant as a test). The measurement lands in BENCH_fit.json
@@ -357,9 +357,9 @@ func BenchmarkEMIterationParallel(b *testing.B) {
 // on the ACP network the end-to-end benchmark serves (5000 authors, 5000
 // papers, 20 venues, seed 1; about 10k objects and 31k links): one 2-link
 // authorship mutation — write plus written_by between an author and a
-// paper not yet linked — through deltalog.Apply, the post-apply limit
-// check and PrepareCSR, each iteration applied to the same uploaded
-// generation. ns/op, B/op and allocs/op land in BENCH_fit.json under
+// paper not yet linked — through deltalog.Apply and the post-apply limit
+// check, the stage the mutation handler runs, each iteration applied to
+// the same uploaded generation. ns/op, B/op and allocs/op land in BENCH_fit.json under
 // "deltalog-apply/acp10k"; CI gates ns/op and allocs/op.
 func BenchmarkApplyEdges(b *testing.B) {
 	cfg := datagen.DefaultBiblioConfig(datagen.SchemaACP, 1)
@@ -369,7 +369,7 @@ func BenchmarkApplyEdges(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Upload it as genclusd does: decode the document, prepare the views.
+	// Upload it as genclusd does: decode the document.
 	doc, err := ds.Net.MarshalJSON()
 	if err != nil {
 		b.Fatal(err)
@@ -379,7 +379,6 @@ func BenchmarkApplyEdges(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	base.PrepareCSR()
 	author := base.Object(base.ObjectsOfType(datagen.TypeAuthor)[0]).ID
 	linked := make(map[int]bool)
 	for _, e := range base.OutEdges(base.ObjectsOfType(datagen.TypeAuthor)[0]) {
@@ -406,7 +405,6 @@ func BenchmarkApplyEdges(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		next.PrepareCSR()
 	}
 	run()
 	var before, after runtime.MemStats

@@ -12,7 +12,7 @@ import (
 
 // documentedPackages are the directories whose exported identifiers form
 // the documented surface: the public library facade, the client SDK, the
-// network substrate whose types (Network, Builder, CSR, Limits, …) are
+// network substrate whose types (Network, Builder, Edge, Limits, …) are
 // re-exported or returned across the internal boundary, the persistence
 // substrate (the snapshot codec whose errors and limits cross the API,
 // and the crash-safe blob store genclusd's durability rests on), and the

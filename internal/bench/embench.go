@@ -12,7 +12,7 @@ import (
 // EM-iteration benchmark runs on: 4000 docs over four topics, two link
 // types (within-topic "cites" and uniform "refs"), a 200-term categorical
 // attribute on 80% of the objects and a numeric attribute on a third —
-// link-heavy enough that the E-step's CSR walk dominates, attribute-rich
+// link-heavy enough that the E-step's link walk dominates, attribute-rich
 // enough that every accumulator kind participates.
 func EMBenchNetwork() (*hin.Network, error) {
 	rng := rand.New(rand.NewSource(7))

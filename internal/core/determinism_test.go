@@ -164,8 +164,8 @@ func fitChecksum(res *Result) uint64 {
 // interleavedNetwork builds a two-relation network whose in-links
 // interleave relations (objects receive "cites" and "refs" links from
 // alternating sources), exercising the symmetric-propagation summation
-// order — the one EM path that walks the merged in-link view instead of
-// the per-relation CSR matrices.
+// order — the one EM path that walks the in-link index as well as each
+// object's out-edges.
 func interleavedNetwork(tb testing.TB, perTopic int, seed int64) *hin.Network {
 	rng := rand.New(rand.NewSource(seed))
 	b := hin.NewBuilder()
@@ -205,8 +205,8 @@ func interleavedNetwork(tb testing.TB, perTopic int, seed int64) *hin.Network {
 }
 
 // Golden checksums captured from the pre-CSR implementation (PR 2, commit
-// 048ba35) on the exact fits below, on linux/amd64. The CSR link storage
-// and the zero-allocation EM scratch were introduced under the contract
+// 048ba35) on the exact fits below, on linux/amd64. Every later link
+// layout and the zero-allocation EM scratch were introduced under the contract
 // that they change neither an operand nor the summation order of any
 // floating-point reduction, so on the capture architecture these digests
 // must never move — across code changes AND across Parallelism settings.
@@ -226,7 +226,7 @@ const (
 	goldenSymmetricChecksum = 0xf4560d9951a246b0
 )
 
-// TestFitGoldenBitwiseChecksum pins the CSR-path fits to the recorded
+// TestFitGoldenBitwiseChecksum pins the fits to the recorded
 // pre-CSR results, bit for bit, at every Parallelism level — the plain
 // (out-link) path on the multi-chunk mixed network, and the symmetric
 // propagation path on a multi-relation network with interleaved in-links.

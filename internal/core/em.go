@@ -399,16 +399,16 @@ func (s *state) emChunk(c, n int) {
 // place; all reads go through the thetaOld snapshot, so ranges can run
 // concurrently.
 //
-// The work is organized as chunk-wide passes — one per relation over the
-// CSR rows, one per attribute, then a normalization pass — with every
-// object's unnormalized row accumulating in acc.rows. Each Θ_t entry still
-// receives its contributions in exactly the pre-CSR order (out-links
-// relation-major with ascending targets, then in-links in edge order, then
-// attributes in declaration order), so the floating-point summation tree —
-// and therefore the fit — is bitwise unchanged; the passes only hoist model
-// pointers out of the object loop, walk each CSR sequentially, and read
-// Θ_{t−1} through the flat panel (see kernels.go for the inner loops and
-// the vectorization-safety rules they obey).
+// The work is organized as chunk-wide passes — one over the objects' stored
+// out-edges, one per attribute, then a normalization pass — with every
+// object's unnormalized row accumulating in acc.rows. Each Θ_t entry
+// receives its contributions in a fixed order (out-links relation-major
+// with ascending targets, then in-links in edge order, then attributes in
+// declaration order), so the floating-point summation tree — and therefore
+// the fit — does not depend on chunking or parallelism; the passes hoist
+// model pointers out of the object loop, walk the edge list sequentially,
+// and read Θ_{t−1} through the flat panel (see kernels.go for the inner
+// loops and the vectorization-safety rules they obey).
 func (s *state) emRange(lo, hi int, acc *emAccum) {
 	// K-sized buffers are resliced to [:k:k] so the compiler can prove the
 	// inner loops in-bounds and drop the checks.
@@ -423,18 +423,11 @@ func (s *state) emRange(lo, hi int, acc *emAccum) {
 	thetaOld := s.thetaOld
 	tf := s.thetaOldF
 
-	// Link passes: Σ_{e=<v,u>} γ(φ(e)) w(e) θ_{u,k}^{t−1}, one relation at
-	// a time.
-	for r := 0; r < s.nRel; r++ {
-		gr := gamma[r]
-		if gr == 0 {
-			continue
-		}
-		linkPass(rows, tf, &s.outCSR[r], lo, hi, k, gr)
-	}
+	// Link pass: Σ_{e=<v,u>} γ(φ(e)) w(e) θ_{u,k}^{t−1} over each object's
+	// stored out-edges.
+	linkPass(rows, tf, s.net, gamma, lo, hi, k)
 	if s.opts.SymmetricPropagation {
-		// Merged in-link view in global edge order: matches the pre-CSR
-		// edge-index iteration bit for bit. A zero-strength or zero-weight
+		// In-link index in edge order. A zero-strength or zero-weight
 		// in-link contributes +0.0 to non-negative accumulators — exactly
 		// what skipping it would leave — so no branch guards it.
 		for v := lo; v < hi; v++ {

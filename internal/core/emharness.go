@@ -14,8 +14,8 @@ type EMHarness struct {
 }
 
 // NewEMHarness validates opts against net and prepares a fitting state
-// exactly as a single-seed Fit would (CSR link views materialized, scratch
-// sized). When opts.Parallelism > 1 the harness starts a persistent worker
+// exactly as a single-seed Fit would (scratch sized, the in-link index
+// cached under symmetric propagation). When opts.Parallelism > 1 the harness starts a persistent worker
 // pool so parallel iterations dispatch without spawning goroutines — call
 // Close when done with the harness to stop it. Warm-up: the first
 // RunIteration allocates the per-chunk accumulators; every later one is

@@ -7,12 +7,13 @@ import (
 )
 
 // This file holds the vectorization-oriented inner loops of the E-step: the
-// per-relation link pass and the categorical attribute pass, each with a
-// generic form plus K-specialized forms that keep the K accumulators in
-// registers across the edge/term loop. Every specialization is bitwise
-// identical to the generic form — same operations, same floating-point
-// summation order — which TestFitGoldenBitwiseChecksum (K=2) and
-// TestKernelSpecializationsBitwise (K=4 vs. the forced-generic path) pin.
+// link pass over each object's stored out-edges and the categorical
+// attribute pass, each with a generic form plus K-specialized forms that
+// keep the K accumulators in registers across the edge/term loop. Every
+// specialization is bitwise identical to the generic form — same
+// operations, same floating-point summation order — which
+// TestFitGoldenBitwiseChecksum (K=2) and TestKernelSpecializationsBitwise
+// (K=4 vs. the forced-generic path) pin.
 //
 // Rules these loops obey so the transforms stay bitwise-safe (see
 // docs/ARCHITECTURE.md, "Numerics"):
@@ -20,11 +21,13 @@ import (
 //   - Sequential reductions (the per-term responsibility sum) keep their
 //     ascending-index association exactly; only independent per-component
 //     accumulators are unrolled.
-//   - The historical `if g == 0 { continue }` edge guard is dropped rather
-//     than restructured: every operand is non-negative and never −0.0, so a
-//     zero-strength or zero-weight edge contributes +0.0 and x + (+0.0)
-//     is bitwise x for the non-negative accumulators here. Removing the
-//     branch changes no bits and unblocks instruction-level parallelism.
+//   - No branch skips a zero-strength relation or a zero-weight edge: every
+//     operand is non-negative and never −0.0, so such an edge contributes
+//     +0.0 and x + (+0.0) is bitwise x for the non-negative accumulators
+//     here. The link pass therefore walks every stored edge of an object
+//     in one loop — relation-major, ascending target and weight, the order
+//     a per-relation walk would give — with no per-edge branch to block
+//     instruction-level parallelism.
 //   - Θ_{t−1} is read through the flat panel (tf[c*k+i]) instead of a row
 //     header chase; same memory, same values.
 //   - Bounds checks are hoisted by full-slice expressions ([lo:hi:hi]) so
@@ -35,43 +38,29 @@ import (
 // bits. Not for concurrent mutation — tests set it around serial fits only.
 var forceGenericKernels bool
 
-// linkPass adds the γ-weighted out-link term of one relation to every
-// unnormalized row of the chunk: rows[v][i] += Σ_j gr·w(v,j)·Θold[col(v,j)][i],
-// edges in CSR row order (ascending target).
-func linkPass(rows, tf []float64, m *hin.CSR, lo, hi, k int, gr float64) {
-	start := m.Start
+// linkPass adds the γ-weighted out-link term to every unnormalized row of
+// the chunk: rows[v][i] += Σ_{e=<v,u>} γ(φ(e))·w(e)·Θold[u][i], each
+// object's edges in stored order (relation-major, then ascending target and
+// weight).
+func linkPass(rows, tf []float64, net *hin.Network, gamma []float64, lo, hi, k int) {
 	switch {
 	case k == 4 && !forceGenericKernels:
 		for v := lo; v < hi; v++ {
-			rowLo, rowHi := start[v], start[v+1]
-			if rowLo == rowHi {
-				continue
-			}
 			b := (v - lo) * 4
-			linkRowK4(rows[b:b+4:b+4], tf, m.Col[rowLo:rowHi], m.Weight[rowLo:rowHi], gr)
+			linkRowK4(rows[b:b+4:b+4], tf, net.OutEdges(v), gamma)
 		}
 	case k == 2 && !forceGenericKernels:
 		for v := lo; v < hi; v++ {
-			rowLo, rowHi := start[v], start[v+1]
-			if rowLo == rowHi {
-				continue
-			}
 			b := (v - lo) * 2
-			linkRowK2(rows[b:b+2:b+2], tf, m.Col[rowLo:rowHi], m.Weight[rowLo:rowHi], gr)
+			linkRowK2(rows[b:b+2:b+2], tf, net.OutEdges(v), gamma)
 		}
 	default:
 		for v := lo; v < hi; v++ {
-			rowLo, rowHi := start[v], start[v+1]
-			if rowLo == rowHi {
-				continue
-			}
-			cols := m.Col[rowLo:rowHi]
-			wts := m.Weight[rowLo:rowHi]
 			b := (v - lo) * k
 			nr := rows[b : b+k : b+k]
-			for j, c := range cols {
-				g := gr * wts[j]
-				tb := c * k
+			for _, e := range net.OutEdges(v) {
+				g := gamma[e.Rel] * e.Weight
+				tb := e.To * k
 				tu := tf[tb : tb+k : tb+k]
 				for i := range tu {
 					nr[i] += g * tu[i]
@@ -82,12 +71,12 @@ func linkPass(rows, tf []float64, m *hin.CSR, lo, hi, k int, gr float64) {
 }
 
 // linkRowK4 is linkPass's inner loop for K=4 with the four accumulators held
-// in registers across the row's edges.
-func linkRowK4(nr, tf []float64, cols []int, wts []float64, gr float64) {
+// in registers across the object's edges.
+func linkRowK4(nr, tf []float64, edges []hin.Edge, gamma []float64) {
 	a0, a1, a2, a3 := nr[0], nr[1], nr[2], nr[3]
-	for j, c := range cols {
-		g := gr * wts[j]
-		tb := c * 4
+	for _, e := range edges {
+		g := gamma[e.Rel] * e.Weight
+		tb := e.To * 4
 		t := tf[tb : tb+4 : tb+4]
 		a0 += g * t[0]
 		a1 += g * t[1]
@@ -98,11 +87,11 @@ func linkRowK4(nr, tf []float64, cols []int, wts []float64, gr float64) {
 }
 
 // linkRowK2 is linkRowK4 for K=2.
-func linkRowK2(nr, tf []float64, cols []int, wts []float64, gr float64) {
+func linkRowK2(nr, tf []float64, edges []hin.Edge, gamma []float64) {
 	a0, a1 := nr[0], nr[1]
-	for j, c := range cols {
-		g := gr * wts[j]
-		tb := c * 2
+	for _, e := range edges {
+		g := gamma[e.Rel] * e.Weight
+		tb := e.To * 2
 		t := tf[tb : tb+2 : tb+2]
 		a0 += g * t[0]
 		a1 += g * t[1]

@@ -49,11 +49,9 @@ type state struct {
 	cat   []*CatParams   // by attr id; nil for numeric/out-of-play attrs
 	gauss []*GaussParams // by attr id; nil for categorical/out-of-play attrs
 
-	// Sparse link views cached from the network at construction: the
-	// per-relation out-link CSR matrices the E-step and strength statistics
-	// walk, and the merged in-link arrays symmetric propagation walks.
-	nRel     int
-	outCSR   []hin.CSR
+	// The in-link index symmetric propagation walks, cached from the
+	// network at construction; nil unless SymmetricPropagation is set. The
+	// out-links are the network's edge list, read through OutEdges.
 	inStart  []int
 	inFrom   []int
 	inRel    []int
@@ -114,16 +112,15 @@ func newState(net *hin.Network, opts Options, seed int64, permuteGauss bool) *st
 		gauss:            make([]*GaussParams, nAttr),
 		catT:             make([][]float64, nAttr),
 		halfLogVar:       make([][]float64, nAttr),
-		nRel:             net.NumRelations(),
 		permuteGaussInit: permuteGauss,
 	}
 	for a := 0; a < nAttr; a++ {
 		s.kind[a] = net.Attr(a).Kind
 	}
-	// Materialize the sparse link views once; PrepareCSR is idempotent, so
-	// concurrent fits of a shared network build them exactly once.
-	s.outCSR = net.RelationCSRs()
-	s.inStart, s.inFrom, s.inRel, s.inWeight = net.InLinkArrays()
+	if opts.SymmetricPropagation {
+		// Built once per network: concurrent fits share one build.
+		s.inStart, s.inFrom, s.inRel, s.inWeight = net.InLinkArrays()
+	}
 	s.termRows = make([][][]hin.TermCount, nAttr)
 	s.numRows = make([][][]float64, nAttr)
 	for _, a := range s.attrs {

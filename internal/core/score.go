@@ -461,8 +461,8 @@ func (s *Scorer) AddNumeric(a int, x float64) {
 //
 // Link contributions accumulate in (relation, addition order) order after a
 // stable sort by (relation index, target index) — the same
-// relation-major, ascending-target order the EM loop walks its CSR views
-// in — and attribute terms follow in the model's attribute order, so
+// relation-major, ascending-target order the EM loop walks each object's
+// out-edges in — and attribute terms follow in the model's attribute order, so
 // scoring a training object with its own links and observations replays
 // the fit's summation tree exactly.
 func (s *Scorer) Score(dst []float64) int {
@@ -557,7 +557,7 @@ func (s *Scorer) Score(dst []float64) int {
 // pointer receiver, so sorting allocates nothing: stability keeps
 // duplicate links in their added order — so a query listing parallel
 // links by ascending weight, as one rebuilt from a network's OutEdges
-// does, sums them in the CSR's (To, Weight) row order — and
+// does, sums them in the network's (To, Weight) edge order — and
 // sort.Stable's O(n log n) bounds the cost of a hostile link list (the
 // serving limit allows thousands of links per query; an insertion sort
 // there would be quadratic CPU inside the serialized dispatcher pass).

@@ -31,9 +31,8 @@ type strengthStats struct {
 // from the current Θ. The aggregate arrays are sized once per fit — their
 // shape depends only on the immutable network and K — and zeroed on reuse,
 // so the per-outer-iteration strength step allocates nothing in steady
-// state. Links are walked through the per-relation CSR views in the same
-// (relation, target) order the sorted edge list yields, keeping the sums
-// bitwise identical to the pre-CSR path.
+// state. Each object's links are walked in stored (relation, target)
+// order.
 func (s *state) buildStrengthStats() *strengthStats {
 	st := &s.strength
 	if !s.strengthReady {
@@ -65,24 +64,18 @@ func (s *state) buildStrengthStats() *strengthStats {
 		for c := 0; c < k; c++ {
 			logTheta[c] = math.Log(ti[c])
 		}
-		for r := 0; r < nRel; r++ {
-			m := &s.outCSR[r]
-			lo, hi := m.Start[v], m.Start[v+1]
-			if lo == hi {
-				continue
+		for _, e := range s.net.OutEdges(v) {
+			ir := oi*nRel + e.Rel
+			base := ir * k
+			w := e.Weight
+			tj := s.theta[e.To]
+			var ce float64
+			for c := 0; c < k; c++ {
+				st.sik[base+c] += w * tj[c]
+				ce += tj[c] * logTheta[c]
 			}
-			base := (oi*nRel + r) * k
-			for j := lo; j < hi; j++ {
-				w := m.Weight[j]
-				tj := s.theta[m.Col[j]]
-				var ce float64
-				for c := 0; c < k; c++ {
-					st.sik[base+c] += w * tj[c]
-					ce += tj[c] * logTheta[c]
-				}
-				st.s[oi*nRel+r] += w
-				st.f[oi*nRel+r] += w * ce
-			}
+			st.s[ir] += w
+			st.f[ir] += w * ce
 		}
 	}
 	return st

@@ -13,8 +13,8 @@ import (
 // holding it (in-flight fits, assigns, drift scoring) keep a consistent
 // snapshot — and the two generations share every structure the mutation
 // does not touch. Semantic contradictions come back as *ApplyError. The
-// returned network has its CSR views built, so the serving layer's
-// PrepareCSR at publish time costs nothing.
+// returned network builds no in-link index until a reader asks for one
+// (hin.Network.InLinks), which no default fit does.
 //
 // Determinism: Splice stores exactly what Builder.Build would for the
 // mutated content — edges in (From, Rel, To, Weight) order, observations

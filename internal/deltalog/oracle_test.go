@@ -161,14 +161,12 @@ func (c *content) build(rng *rand.Rand) (*hin.Network, error) {
 }
 
 // netState is a deep copy of everything a network stores that its users
-// can observe: the JSON document, the relation table, every relation's
-// CSR, the merged in-link view, the type lists and the ID index.
+// can observe: the JSON document, the relation table, the edge list, the
+// in-link index, the type lists and the ID index.
 type netState struct {
 	JSON      []byte
 	Relations []string
-	Start     [][]int
-	Col       [][]int
-	Weight    [][]float64
+	Edges     []hin.Edge
 	InStart   []int
 	InFrom    []int
 	InRel     []int
@@ -185,12 +183,7 @@ func stateOf(n *hin.Network) netState {
 		data = []byte("marshal error: " + err.Error())
 	}
 	s.JSON = data
-	for r := 0; r < n.NumRelations(); r++ {
-		m := n.RelationCSR(r)
-		s.Start = append(s.Start, own(m.Start))
-		s.Col = append(s.Col, own(m.Col))
-		s.Weight = append(s.Weight, append([]float64{}, m.Weight...))
-	}
+	s.Edges = append([]hin.Edge{}, n.Edges()...)
 	start, from, rel, weight := n.InLinkArrays()
 	s.InStart, s.InFrom, s.InRel, s.InWeight = own(start), own(from), own(rel), append([]float64{}, weight...)
 	for _, t := range n.Types() {
@@ -243,16 +236,10 @@ func checkNoGrownAlias(t testing.TB, parent, child *hin.Network) {
 			bad("type list " + ty)
 		}
 	}
-	for r := 0; r < parent.NumRelations(); r++ {
-		p, c := parent.RelationCSR(r), child.RelationCSR(r)
-		if grownAlias(p.Start, c.Start) || grownAlias(p.Col, c.Col) || grownAlias(p.Weight, c.Weight) {
-			bad("CSR of " + parent.RelationName(r))
-		}
-	}
 	ps, pf, pr, pw := parent.InLinkArrays()
 	cs, cf, cr, cw := child.InLinkArrays()
 	if grownAlias(ps, cs) || grownAlias(pf, cf) || grownAlias(pr, cr) || grownAlias(pw, cw) {
-		bad("in-link view")
+		bad("in-link index")
 	}
 	for a, spec := range parent.Attrs() {
 		switch spec.Kind {
@@ -385,8 +372,8 @@ func randomMutation(t testing.TB, rng *rand.Rand, n *hin.Network, tag string) *M
 // TestApplyMatchesScratchBuild is the oracle property test for the splice:
 // per seed, 200 random mutations are applied in sequence, and after each
 // one the result must equal a from-scratch Builder build of the mutated
-// content in its JSON bytes, every relation's CSR, the merged in-link
-// view, the type lists and the ID index. Each step also splices a sibling
+// content in its JSON bytes, its relation table, edge list and in-link
+// index, the type lists and the ID index. Each step also splices a sibling
 // from the same parent, then checks that the parent and the first child
 // are unchanged and that no child appended into a parent's slice.
 func TestApplyMatchesScratchBuild(t *testing.T) {
@@ -489,7 +476,10 @@ func TestParallelEdgeWeightOrder(t *testing.T) {
 	if d := stateOf(applied).diff(stateOf(scratch)); d != "" {
 		t.Fatalf("applied network differs from the from-scratch build: %s", d)
 	}
-	_, wts := scratch.RelationCSR(0).Row(5)
+	var wts []float64
+	for _, e := range scratch.OutEdges(5) {
+		wts = append(wts, e.Weight)
+	}
 	if !slices.Equal(wts, []float64{1, 2.5, 7}) {
 		t.Fatalf("parallel o5→o6 weights in order %v, want [1 2.5 7]", wts)
 	}

@@ -244,11 +244,10 @@ func (b *Builder) Build() (*Network, error) {
 		n.typeIndex[o.Type] = append(n.typeIndex[o.Type], v)
 	}
 
-	// Canonical edge order, then CSR offsets by source and by target. The
-	// link views themselves are built lazily by Network.PrepareCSR.
+	// Canonical edge order, then offsets by source.
 	slices.SortFunc(n.edges, compareEdges)
 	nObj := len(n.objects)
-	n.outStart, n.inStart = edgeOffsets(n.edges, nObj)
+	n.outStart = outOffsets(n.edges, nObj)
 
 	// Freeze observations into sorted sparse slices.
 	n.catObs = make([][][]TermCount, len(n.attrs))

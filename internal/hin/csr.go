@@ -2,181 +2,65 @@ package hin
 
 import "slices"
 
-// CSR is an immutable compressed-sparse-row adjacency matrix over the links
-// of a single relation. Rows are dense source objects (From); row v's
-// entries live in Col[Start[v]:Start[v+1]] and Weight[Start[v]:Start[v+1]],
-// a column being the link target (To).
-//
-// Entries within a row are ordered by ascending column index, with parallel
-// (row, column) links kept as adjacent separate entries in ascending weight
-// order — never coalesced — so walking a CSR row reproduces the exact
-// floating-point summation order of walking the sorted edge list. That
-// ordering is part of the determinism contract (see docs/ARCHITECTURE.md):
-// a fit must be bitwise reproducible regardless of which adjacency view the
-// EM loop consumes.
-type CSR struct {
-	// Start has NumRows+1 offsets into Col/Weight.
-	Start []int
-	// Col holds the column index of each stored link.
-	Col []int
-	// Weight holds the link weight of each stored link, aligned with Col.
-	Weight []float64
+// inLinkIndex is the in-link view of a network's canonical edge list: entry
+// j of object v (j in start[v]:start[v+1]) stores the source object
+// from[j], relation rel[j] and weight weight[j] of one incoming link, in
+// edge order — i.e. sorted by (From, Rel, To, Weight) within each target.
+// Only symmetric propagation and the baselines read it, so it is built on
+// first use and immutable afterwards.
+type inLinkIndex struct {
+	start  []int // NumObjects+1 offsets by target
+	from   []int
+	rel    []int
+	weight []float64
 }
 
-// NumRows returns the number of rows (always the network's object count).
-func (m *CSR) NumRows() int { return len(m.Start) - 1 }
-
-// NNZ returns the number of stored links.
-func (m *CSR) NNZ() int { return len(m.Col) }
-
-// Row returns row v's column indices and weights as shared subslices;
-// callers must not mutate them.
-func (m *CSR) Row(v int) (cols []int, weights []float64) {
-	lo, hi := m.Start[v], m.Start[v+1]
-	return m.Col[lo:hi], m.Weight[lo:hi]
-}
-
-// RowNNZ returns the number of stored links in row v.
-func (m *CSR) RowNNZ(v int) int { return m.Start[v+1] - m.Start[v] }
-
-// csrViews is the sparse link storage the EM hot path walks: one CSR per
-// relation (rows = From) and a merged in-link view that keeps the global
-// edge order. Built once per Network — lazily by PrepareCSR, or by Splice
-// for the generation it returns — and immutable afterwards.
-type csrViews struct {
-	out []CSR // per relation, rows = From, columns = To
-
-	// Merged in-link view: entry j of object v (j in inStart[v]:inStart[v+1],
-	// inStart owned by Network) stores the source object inFrom[j], relation
-	// inRel[j] and weight inWeight[j] of one incoming link, in global edge
-	// order — i.e. sorted by (From, Rel) within each target. Symmetric
-	// propagation walks this view so its summation order matches the
-	// pre-CSR edge-index iteration bit for bit.
-	inFrom   []int
-	inRel    []int
-	inWeight []float64
-}
-
-// PrepareCSR builds the per-relation CSR link views if they do not exist
-// yet. It is idempotent and safe for concurrent use; every CSR accessor
-// calls it implicitly. Fit setup and the genclusd upload path invoke it
-// eagerly so the build cost is paid once, off the EM iteration path.
+// PrepareCSR builds the in-link index if it does not exist yet. It is
+// idempotent and safe for concurrent use; InLinks and InLinkArrays call it
+// implicitly. Nothing else needs it: the out-links are the edge list
+// itself.
 func (n *Network) PrepareCSR() {
-	n.csrOnce.Do(func() { n.csr = n.buildViews(nil, nil) })
+	n.inOnce.Do(func() { n.in = n.buildInLinks() })
 }
 
-// buildViews builds n's link views. Without a parent (prev == nil) every
-// view is built from the edge list. With a parent's views, only the
-// relations marked in touched are rebuilt: every other relation shares the
-// parent's Col and Weight (and Start, unless n has more objects), and the
-// merged in-link arrays are shared too when no relation is touched, since
-// the edge list is then the parent's.
-func (n *Network) buildViews(prev *csrViews, touched []bool) *csrViews {
+// buildInLinks scatters the edge list into per-target rows with one
+// next-free-slot cursor per target, so each row inherits the edge order.
+func (n *Network) buildInLinks() *inLinkIndex {
 	nObj := len(n.objects)
-	nRel := len(n.relations)
-	v := &csrViews{out: make([]CSR, nRel)}
-	build := make([]bool, nRel)
-	edgesChanged := prev == nil || slices.Contains(touched, true)
-	for r := range v.out {
-		if prev != nil && r < len(prev.out) && !touched[r] {
-			v.out[r] = extendRows(prev.out[r], nObj)
-			continue
-		}
-		build[r] = true
-		v.out[r].Start = make([]int, nObj+1)
+	in := &inLinkIndex{
+		start:  make([]int, nObj+1),
+		from:   make([]int, len(n.edges)),
+		rel:    make([]int, len(n.edges)),
+		weight: make([]float64, len(n.edges)),
 	}
-	if !edgesChanged {
-		v.inFrom, v.inRel, v.inWeight = prev.inFrom, prev.inRel, prev.inWeight
-		return v
-	}
-
-	// Per-relation link counts by row.
 	for _, e := range n.edges {
-		if build[e.Rel] {
-			v.out[e.Rel].Start[e.From+1]++
-		}
+		in.start[e.To+1]++
 	}
-	for r := range v.out {
-		if !build[r] {
-			continue
-		}
-		outS := v.out[r].Start
-		for i := 0; i < nObj; i++ {
-			outS[i+1] += outS[i]
-		}
-		v.out[r].Col = make([]int, outS[nObj])
-		v.out[r].Weight = make([]float64, outS[nObj])
+	for v := 0; v < nObj; v++ {
+		in.start[v+1] += in.start[v]
 	}
-
-	// Fill by scanning the edges in their canonical (From, Rel, To, Weight)
-	// order. A relation's links appear in that scan row by row, each row in
-	// (To, Weight) order, so one running cursor per relation fills its
-	// CSR; the merged in-link view inherits the global edge order through a
-	// next-free-slot cursor per target.
-	v.inFrom = make([]int, len(n.edges))
-	v.inRel = make([]int, len(n.edges))
-	v.inWeight = make([]float64, len(n.edges))
-	outNext := make([]int, nRel)
-	mergedCur := slices.Clone(n.inStart)
+	next := slices.Clone(in.start[:nObj])
 	for _, e := range n.edges {
-		if build[e.Rel] {
-			o := &v.out[e.Rel]
-			p := outNext[e.Rel]
-			o.Col[p] = e.To
-			o.Weight[p] = e.Weight
-			outNext[e.Rel]++
-		}
-		m := mergedCur[e.To]
-		v.inFrom[m] = e.From
-		v.inRel[m] = e.Rel
-		v.inWeight[m] = e.Weight
-		mergedCur[e.To]++
+		j := next[e.To]
+		in.from[j], in.rel[j], in.weight[j] = e.From, e.Rel, e.Weight
+		next[e.To]++
 	}
-	return v
-}
-
-// extendRows returns m with nObj rows, sharing Col and Weight: rows past
-// m's own are empty.
-func extendRows(m CSR, nObj int) CSR {
-	if m.NumRows() == nObj {
-		return m
-	}
-	start := make([]int, nObj+1)
-	copy(start, m.Start)
-	for i := len(m.Start); i <= nObj; i++ {
-		start[i] = m.NNZ()
-	}
-	return CSR{Start: start, Col: m.Col, Weight: m.Weight}
-}
-
-// RelationCSR returns the out-link CSR of relation r (rows = From, columns =
-// To). The returned matrix is shared and immutable.
-func (n *Network) RelationCSR(r int) *CSR {
-	n.PrepareCSR()
-	return &n.csr.out[r]
-}
-
-// RelationCSRs returns every relation's out-link CSR indexed by dense
-// relation id. The slice and matrices are shared; callers must not mutate
-// them.
-func (n *Network) RelationCSRs() []CSR {
-	n.PrepareCSR()
-	return n.csr.out
+	return in
 }
 
 // InLinks returns the incoming links of object v as parallel subslices
 // (source object, relation id, weight), ordered by (source, relation) — the
-// global edge order. Shared; callers must not mutate.
+// edge order. Shared; callers must not mutate.
 func (n *Network) InLinks(v int) (from, rel []int, weight []float64) {
 	n.PrepareCSR()
-	lo, hi := n.inStart[v], n.inStart[v+1]
-	return n.csr.inFrom[lo:hi], n.csr.inRel[lo:hi], n.csr.inWeight[lo:hi]
+	lo, hi := n.in.start[v], n.in.start[v+1]
+	return n.in.from[lo:hi], n.in.rel[lo:hi], n.in.weight[lo:hi]
 }
 
-// InLinkArrays exposes the full merged in-link view for hot loops: start has
+// InLinkArrays exposes the full in-link index for hot loops: start has
 // NumObjects+1 offsets, and from/rel/weight describe each incoming link in
-// global edge order. Shared; callers must not mutate.
+// edge order. Shared; callers must not mutate.
 func (n *Network) InLinkArrays() (start, from, rel []int, weight []float64) {
 	n.PrepareCSR()
-	return n.inStart, n.csr.inFrom, n.csr.inRel, n.csr.inWeight
+	return n.in.start, n.in.from, n.in.rel, n.in.weight
 }

@@ -1,157 +1,78 @@
 package hin
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 )
 
-// checkCSRInvariants verifies the structural soundness of a network's CSR
-// link views against its canonical edge list:
+// checkLinkInvariants verifies the structural soundness of a network's link
+// storage:
 //
-//   - every relation has an out view with |V|+1 non-decreasing row
-//     offsets covering exactly that relation's links;
-//   - walking the out views object-major, relation-major reproduces
-//     Edges() exactly — same order, same duplicates, same weights — which
-//     is the determinism contract the EM loop relies on;
-//   - the merged in-link view holds the same multiset of links per
-//     relation, ordered by (From, Rel) within each target.
+//   - the edge list is in canonical (From, Rel, To, Weight) order with every
+//     index in range, and OutEdges partitions it by source — the walk order
+//     the EM loop's determinism contract relies on;
+//   - the in-link index holds exactly the edge list regrouped by target,
+//     each target's links in edge order.
 //
 // The fuzzer calls it on every decodable input.
-func checkCSRInvariants(t testing.TB, net *Network) {
+func checkLinkInvariants(t testing.TB, net *Network) {
 	t.Helper()
 	nObj := net.NumObjects()
 	nRel := net.NumRelations()
-	outs := net.RelationCSRs()
-	if len(outs) != nRel {
-		t.Fatalf("CSR views: %d out for %d relations", len(outs), nRel)
-	}
-
-	checkShape := func(m *CSR, name string) {
-		if m.NumRows() != nObj {
-			t.Fatalf("%s has %d rows, want %d", name, m.NumRows(), nObj)
-		}
-		if m.Start[0] != 0 || m.Start[nObj] != m.NNZ() {
-			t.Fatalf("%s offsets don't cover entries: Start[0]=%d Start[n]=%d nnz=%d", name, m.Start[0], m.Start[nObj], m.NNZ())
-		}
-		if len(m.Weight) != m.NNZ() {
-			t.Fatalf("%s has %d weights for %d entries", name, len(m.Weight), m.NNZ())
-		}
-		for v := 0; v < nObj; v++ {
-			if m.Start[v] > m.Start[v+1] {
-				t.Fatalf("%s offsets decrease at row %d", name, v)
-			}
-			cols, _ := m.Row(v)
-			if len(cols) != m.RowNNZ(v) {
-				t.Fatalf("%s Row/RowNNZ disagree at %d", name, v)
-			}
-			for _, c := range cols {
-				if c < 0 || c >= nObj {
-					t.Fatalf("%s row %d has column %d outside [0,%d)", name, v, c, nObj)
-				}
-			}
-		}
-	}
-
-	totalOut := 0
-	for r := 0; r < nRel; r++ {
-		checkShape(&outs[r], "out["+net.RelationName(r)+"]")
-		totalOut += outs[r].NNZ()
-	}
-	if totalOut != net.NumEdges() {
-		t.Fatalf("CSR views store %d links for %d edges", totalOut, net.NumEdges())
-	}
-
-	// Walking out views object-major, relation-major must reproduce the
-	// canonical edge list exactly (order, duplicates, weights).
-	i := 0
 	edges := net.Edges()
+	for i, e := range edges {
+		if e.From < 0 || e.From >= nObj || e.To < 0 || e.To >= nObj || e.Rel < 0 || e.Rel >= nRel {
+			t.Fatalf("edge %d (%d -[%d]-> %d) out of range", i, e.From, e.Rel, e.To)
+		}
+		if i > 0 && compareEdges(edges[i-1], e) > 0 {
+			t.Fatalf("edges %d and %d out of canonical order", i-1, i)
+		}
+	}
+	i := 0
 	for v := 0; v < nObj; v++ {
-		for r := 0; r < nRel; r++ {
-			cols, wts := outs[r].Row(v)
-			for j := range cols {
-				if i >= len(edges) {
-					t.Fatalf("out views yield more links than edges")
-				}
-				e := edges[i]
-				if e.From != v || e.Rel != r || e.To != cols[j] || e.Weight != wts[j] {
-					t.Fatalf("out-view walk diverges from edge %d: got (%d -[%d]-> %d, w=%v), want (%d -[%d]-> %d, w=%v)",
-						i, v, r, cols[j], wts[j], e.From, e.Rel, e.To, e.Weight)
-				}
-				i++
+		out := net.OutEdges(v)
+		if len(out) != net.OutDegree(v) {
+			t.Fatalf("OutEdges/OutDegree disagree at %d", v)
+		}
+		for _, e := range out {
+			if e.From != v || e != edges[i] {
+				t.Fatalf("out-links of %d diverge from edge %d: got %+v, want %+v", v, i, e, edges[i])
 			}
+			i++
 		}
 	}
 	if i != len(edges) {
-		t.Fatalf("out views yield %d links for %d edges", i, len(edges))
+		t.Fatalf("out-links cover %d of %d edges", i, len(edges))
 	}
 
-	// The merged in-link view holds the same (From, To, Weight) multiset per
-	// relation.
-	type link struct {
-		from, to int
-		w        float64
+	// Regrouping the edge list by target, stably, is the in-link index.
+	byTarget := slices.Clone(edges)
+	slices.SortStableFunc(byTarget, func(a, b Edge) int { return a.To - b.To })
+	start, from, rels, wts := net.InLinkArrays()
+	if len(start) != nObj+1 || start[0] != 0 || start[nObj] != len(edges) ||
+		len(from) != len(edges) || len(rels) != len(edges) || len(wts) != len(edges) {
+		t.Fatalf("in-link index shape: %d offsets ending at %d, %d/%d/%d entries for %d objects and %d edges",
+			len(start), start[len(start)-1], len(from), len(rels), len(wts), nObj, len(edges))
 	}
-	sortLinks := func(ls []link) {
-		sort.Slice(ls, func(i, j int) bool {
-			if ls[i].from != ls[j].from {
-				return ls[i].from < ls[j].from
-			}
-			if ls[i].to != ls[j].to {
-				return ls[i].to < ls[j].to
-			}
-			return ls[i].w < ls[j].w
-		})
-	}
-	fromIn := make([][]link, nRel)
 	for v := 0; v < nObj; v++ {
-		from, rels, wts := net.InLinks(v)
-		for j := range from {
-			fromIn[rels[j]] = append(fromIn[rels[j]], link{from[j], v, wts[j]})
-		}
-	}
-	for r := 0; r < nRel; r++ {
-		var fromOut []link
-		for v := 0; v < nObj; v++ {
-			cols, wts := outs[r].Row(v)
-			for j := range cols {
-				fromOut = append(fromOut, link{v, cols[j], wts[j]})
-			}
-		}
-		fromIn := fromIn[r]
-		sortLinks(fromOut)
-		sortLinks(fromIn)
-		if len(fromOut) != len(fromIn) {
-			t.Fatalf("relation %d: %d out links, %d in-links", r, len(fromOut), len(fromIn))
-		}
-		for j := range fromOut {
-			if fromOut[j] != fromIn[j] {
-				t.Fatalf("relation %d: in-link %d = %+v, out link %+v", r, j, fromIn[j], fromOut[j])
-			}
-		}
-	}
-
-	// Merged in-link view: (From, Rel)-ordered per target, length-consistent.
-	for v := 0; v < nObj; v++ {
-		from, rels, wts := net.InLinks(v)
-		if len(rels) != len(from) || len(wts) != len(from) {
-			t.Fatalf("merged in-links of %d: lengths %d/%d/%d", v, len(from), len(rels), len(wts))
-		}
-		for j := 1; j < len(from); j++ {
-			if from[j] < from[j-1] || (from[j] == from[j-1] && rels[j] < rels[j-1]) {
-				t.Fatalf("merged in-links of %d not in (From, Rel) order at %d", v, j)
+		f, r, w := net.InLinks(v)
+		for j := range f {
+			e := byTarget[start[v]+j]
+			if e.To != v || f[j] != e.From || r[j] != e.Rel || w[j] != e.Weight {
+				t.Fatalf("in-link %d of %d is (%d, %d, %v), want %+v", j, v, f[j], r[j], w[j], e)
 			}
 		}
 	}
 }
 
 func TestCSRToyNetwork(t *testing.T) {
-	checkCSRInvariants(t, buildToy(t))
+	checkLinkInvariants(t, buildToy(t))
 }
 
-// TestCSREmptyRelation: a relation interned without any links still gets an
-// all-empty-rows CSR, and relations emptied by FilterEdges keep
-// their dense ids with zero entries.
+// TestCSREmptyRelation: a relation interned without any links keeps its
+// dense id and stores no links, and relations emptied by FilterEdges keep
+// their dense ids too.
 func TestCSREmptyRelation(t *testing.T) {
 	b := NewBuilder()
 	b.AddObject("a", "t")
@@ -162,27 +83,29 @@ func TestCSREmptyRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCSRInvariants(t, net)
+	checkLinkInvariants(t, net)
 	lonely, ok := net.RelationID("lonely")
 	if !ok {
 		t.Fatal("interned relation lost")
 	}
-	if nnz := net.RelationCSR(lonely).NNZ(); nnz != 0 {
-		t.Fatalf("empty relation stores %d links", nnz)
+	for _, e := range net.Edges() {
+		if e.Rel == lonely {
+			t.Fatalf("empty relation stores link %+v", e)
+		}
 	}
 
 	filtered, err := FilterEdges(net, func(Edge) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCSRInvariants(t, filtered)
+	checkLinkInvariants(t, filtered)
 	if filtered.NumRelations() != net.NumRelations() {
 		t.Fatal("FilterEdges dropped relation ids")
 	}
 }
 
-// TestCSRSelfLinks: a self-link appears in the object's own row in both the
-// out view and the merged in-link view.
+// TestCSRSelfLinks: a self-link appears among the object's own out-links
+// and in-links.
 func TestCSRSelfLinks(t *testing.T) {
 	b := NewBuilder()
 	b.AddObject("a", "t")
@@ -193,12 +116,12 @@ func TestCSRSelfLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCSRInvariants(t, net)
+	checkLinkInvariants(t, net)
 	va, _ := net.IndexOf("a")
 	r, _ := net.RelationID("self")
-	cols, wts := net.RelationCSR(r).Row(va)
-	if len(cols) != 2 || cols[0] != va || wts[0] != 2 {
-		t.Fatalf("self-link missing from out row: cols=%v wts=%v", cols, wts)
+	out := net.OutEdges(va)
+	if len(out) != 2 || out[0].To != va || out[0].Weight != 2 {
+		t.Fatalf("self-link missing from out-links: %+v", out)
 	}
 	from, rels, iwts := net.InLinks(va)
 	if len(from) != 1 || from[0] != va || rels[0] != r || iwts[0] != 2 {
@@ -208,8 +131,7 @@ func TestCSRSelfLinks(t *testing.T) {
 
 // TestCSRDuplicateLinks: duplicate (src, dst, relation) links stay separate
 // adjacent entries whose weights accumulate when walked — coalescing them
-// would change the EM summation tree and break bitwise determinism against
-// the edge-list order.
+// would change the EM summation tree and break bitwise determinism.
 func TestCSRDuplicateLinks(t *testing.T) {
 	b := NewBuilder()
 	b.AddObject("a", "t")
@@ -221,15 +143,15 @@ func TestCSRDuplicateLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCSRInvariants(t, net)
+	checkLinkInvariants(t, net)
 	va, _ := net.IndexOf("a")
 	vc, _ := net.IndexOf("c")
 	r, _ := net.RelationID("r")
-	cols, wts := net.RelationCSR(r).Row(va)
-	if len(cols) != 2 || cols[0] != vc || cols[1] != vc {
-		t.Fatalf("duplicate links not kept as separate entries: cols=%v", cols)
+	out := net.OutEdges(va)
+	if len(out) != 3 || out[0].Rel != r || out[1].Rel != r || out[0].To != vc || out[1].To != vc {
+		t.Fatalf("duplicate links not kept as separate entries: %+v", out)
 	}
-	if total := wts[0] + wts[1]; total != 3.5 {
+	if total := out[0].Weight + out[1].Weight; total != 3.5 {
 		t.Fatalf("duplicate weights accumulate to %v, want 3.5", total)
 	}
 	from, rels, iwts := net.InLinks(vc)
@@ -238,64 +160,49 @@ func TestCSRDuplicateLinks(t *testing.T) {
 	}
 }
 
-// TestCSRInLinksRoundTrip: regrouping the merged in-link view by source
-// and relation reproduces every relation's out view on a network with
+// TestCSRInLinksRoundTrip: regrouping the in-link index by source
+// reproduces every object's out-links, in order, on a network with
 // interleaved relations and asymmetric links.
 func TestCSRInLinksRoundTrip(t *testing.T) {
 	net := buildToy(t)
 	nObj := net.NumObjects()
-	rebuilt := make([]map[int][][2]float64, net.NumRelations()) // rel → from → list of (to, w)
-	for r := range rebuilt {
-		rebuilt[r] = make(map[int][][2]float64)
-	}
+	rebuilt := make([][]Edge, nObj)
 	for v := 0; v < nObj; v++ {
 		from, rels, wts := net.InLinks(v)
 		for j, u := range from {
-			rebuilt[rels[j]][u] = append(rebuilt[rels[j]][u], [2]float64{float64(v), wts[j]})
+			rebuilt[u] = append(rebuilt[u], Edge{From: u, To: v, Rel: rels[j], Weight: wts[j]})
 		}
 	}
-	for r := 0; r < net.NumRelations(); r++ {
-		out := net.RelationCSR(r)
-		for v := 0; v < nObj; v++ {
-			cols, wts := out.Row(v)
-			got := rebuilt[r][v]
-			if len(got) != len(cols) {
-				t.Fatalf("relation %d row %d: in-links hold %d entries, want %d", r, v, len(got), len(cols))
-			}
-			sort.Slice(got, func(i, j int) bool {
-				if got[i][0] != got[j][0] {
-					return got[i][0] < got[j][0]
-				}
-				return got[i][1] < got[j][1]
-			})
-			for j := range cols {
-				if int(got[j][0]) != cols[j] || got[j][1] != wts[j] {
-					t.Fatalf("relation %d row %d entry %d: got (%v, %v), want (%d, %v)", r, v, j, got[j][0], got[j][1], cols[j], wts[j])
-				}
-			}
+	for v := 0; v < nObj; v++ {
+		got := rebuilt[v]
+		slices.SortFunc(got, compareEdges)
+		if want := net.OutEdges(v); !slices.Equal(got, want) {
+			t.Fatalf("object %d: in-links regroup to %+v, out-links are %+v", v, got, want)
 		}
 	}
 }
 
 // TestPrepareCSRConcurrent: many goroutines racing PrepareCSR and the
-// accessors must observe one consistent build (run with -race).
+// in-link accessors must observe one consistent build (run with -race).
 func TestPrepareCSRConcurrent(t *testing.T) {
 	net := buildToy(t)
-	views := make([][]CSR, 8)
+	starts := make([][]int, 8)
 	var wg sync.WaitGroup
-	for i := range views {
+	for i := range starts {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			net.PrepareCSR()
-			views[i] = net.RelationCSRs()
+			if i%2 == 0 {
+				net.PrepareCSR()
+			}
+			starts[i], _, _, _ = net.InLinkArrays()
 		}(i)
 	}
 	wg.Wait()
-	for i := 1; i < len(views); i++ {
-		if &views[i][0] != &views[0][0] {
+	for i := 1; i < len(starts); i++ {
+		if &starts[i][0] != &starts[0][0] {
 			t.Fatal("concurrent PrepareCSR produced distinct builds")
 		}
 	}
-	checkCSRInvariants(t, net)
+	checkLinkInvariants(t, net)
 }

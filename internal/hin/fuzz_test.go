@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -40,12 +41,20 @@ func FuzzDecodeNetwork(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"objects":[{"id":"a","type":"t"}]}`))
 	f.Add([]byte(`{"attributes":[{"name":"n","kind":"numeric"}],"objects":[{"id":"a","type":"t","numeric":{"n":[1e308,-1e308]}}]}`))
-	// Self-links and duplicate (src, dst, relation) links: the CSR builder
+	// Self-links and duplicate (src, dst, relation) links: the edge list
 	// must keep duplicates as separate adjacent entries (never coalesce).
 	f.Add([]byte(`{"objects":[{"id":"a","type":"t"},{"id":"b","type":"t"}],` +
 		`"links":[{"from":"a","to":"a","rel":"self","w":1},` +
 		`{"from":"a","to":"b","rel":"r","w":1},{"from":"a","to":"b","rel":"r","w":2},` +
 		`{"from":"b","to":"a","rel":"r","w":0.5}]}`))
+
+	// Links naming relations out of dense-id order ([writes cites], while
+	// the canonical edge order names cites first), with and without a
+	// relations list.
+	f.Add([]byte(`{"objects":[{"id":"p1","type":"paper"},{"id":"p2","type":"paper"},{"id":"a1","type":"author"}],` +
+		`"links":[{"from":"a1","to":"p1","rel":"writes","w":1},{"from":"p1","to":"p2","rel":"cites","w":1}]}`))
+	f.Add([]byte(`{"objects":[{"id":"a","type":"t"},{"id":"b","type":"t"}],"relations":["r","s"],` +
+		`"links":[{"from":"b","to":"a","rel":"s","w":1},{"from":"a","to":"b","rel":"r","w":1}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		net, err := FromJSONLimited(data, fuzzLimits)
@@ -68,9 +77,12 @@ func FuzzDecodeNetwork(f *testing.F) {
 				net.NumObjects(), again.NumObjects(), net.NumEdges(), again.NumEdges(),
 				net.NumRelations(), again.NumRelations(), net.NumAttrs(), again.NumAttrs())
 		}
-		// Any decodable network must also yield structurally sound CSR
-		// link views — the storage every fit walks.
-		checkCSRInvariants(t, net)
+		if !slices.Equal(again.Relations(), net.Relations()) {
+			t.Fatalf("round trip renumbered relations: %q → %q", net.Relations(), again.Relations())
+		}
+		// Any decodable network must also yield structurally sound link
+		// storage — what every fit walks.
+		checkLinkInvariants(t, net)
 	})
 }
 

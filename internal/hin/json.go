@@ -10,9 +10,13 @@ import (
 // networkJSON is the on-disk representation: self-describing, stable across
 // versions of the in-memory layout, and editable by hand for small networks.
 type networkJSON struct {
-	Objects    []objectJSON `json:"objects"`
-	Links      []linkJSON   `json:"links"`
-	Attributes []attrJSON   `json:"attributes"`
+	Objects []objectJSON `json:"objects"`
+	Links   []linkJSON   `json:"links"`
+	// Relations, when present, fixes the dense relation order: listed
+	// names take the first ids, and relations only links name follow in
+	// order of first appearance.
+	Relations  []string   `json:"relations,omitempty"`
+	Attributes []attrJSON `json:"attributes"`
 }
 
 type objectJSON struct {
@@ -40,9 +44,21 @@ type attrJSON struct {
 	VocabSize int    `json:"vocab,omitempty"`
 }
 
-// MarshalJSON serializes the network.
+// MarshalJSON serializes the network. The document lists the relations in
+// dense order, so decoding it numbers them as n does; a relation without
+// links is left out (a decoded list may name only linked relations) and
+// the relations after it move down one id.
 func (n *Network) MarshalJSON() ([]byte, error) {
 	doc := networkJSON{}
+	linked := make([]bool, len(n.relations))
+	for _, e := range n.edges {
+		linked[e.Rel] = true
+	}
+	for r, name := range n.relations {
+		if linked[r] {
+			doc.Relations = append(doc.Relations, name)
+		}
+	}
 	for _, spec := range n.attrs {
 		doc.Attributes = append(doc.Attributes, attrJSON{
 			Name:      spec.Name,
@@ -235,10 +251,41 @@ func FromJSONLimited(data []byte, lim Limits) (*Network, error) {
 			}
 		}
 	}
+	if err := internRelations(b, &doc); err != nil {
+		return nil, err
+	}
 	for _, lj := range doc.Links {
 		b.AddLink(lj.From, lj.To, lj.Relation, lj.Weight)
 	}
 	return b.Build()
+}
+
+// internRelations interns the document's listed relations in order. A
+// listed name must be non-empty, listed once and named by some link, so a
+// list can fix the relation order but never grow |R| — which sizes every
+// fit's strength statistics — past what the links use.
+func internRelations(b *Builder, doc *networkJSON) error {
+	if len(doc.Relations) == 0 {
+		return nil
+	}
+	used := make(map[string]bool)
+	for _, lj := range doc.Links {
+		used[lj.Relation] = true
+	}
+	listed := make(map[string]bool, len(doc.Relations))
+	for _, name := range doc.Relations {
+		switch {
+		case name == "":
+			return fmt.Errorf("hin: empty relation name in relations list")
+		case listed[name]:
+			return fmt.Errorf("hin: relation %q listed twice", name)
+		case !used[name]:
+			return fmt.Errorf("hin: listed relation %q has no links", name)
+		}
+		listed[name] = true
+		b.Relation(name)
+	}
+	return nil
 }
 
 // WriteTo streams the JSON encoding to w.

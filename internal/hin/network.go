@@ -7,9 +7,10 @@
 //
 // Networks are constructed through a Builder, validated once, and immutable
 // afterwards; a changed network is a new generation spliced from its parent
-// (Network.Splice), sharing whatever the change does not touch. Adjacency
-// is stored CSR-style so the clustering algorithms can stream over
-// out-links and in-links without per-query allocation.
+// (Network.Splice), sharing whatever the change does not touch. Links are
+// stored once, as an edge list sorted by source, so the clustering
+// algorithms stream over each object's out-links without per-query
+// allocation; an in-link index is built on first use.
 package hin
 
 import (
@@ -80,15 +81,15 @@ type Network struct {
 	relations []string
 	relIndex  map[string]int
 
-	edges    []Edge // sorted by (From, Rel, To, Weight)
-	outStart []int  // CSR offsets into edges by From
-	inStart  []int  // in-link counts per object, as CSR offsets by To
+	// edges is the one stored link layout, sorted by (From, Rel, To,
+	// Weight); object v's out-links are edges[outStart[v]:outStart[v+1]].
+	edges    []Edge
+	outStart []int
 
-	// csr holds the per-relation CSR link views the EM hot path walks (see
-	// csr.go). Built at most once per network, lazily or by Splice; csrOnce
-	// makes concurrent fits of a shared network safe.
-	csrOnce sync.Once
-	csr     *csrViews
+	// in is the in-link index (see csr.go), built at most once per network
+	// by PrepareCSR; inOnce makes concurrent builds of a shared network safe.
+	inOnce sync.Once
+	in     *inLinkIndex
 
 	attrs     []AttrSpec
 	attrIndex map[string]int

@@ -3,6 +3,7 @@ package hin
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -360,6 +361,75 @@ func TestFromJSONErrors(t *testing.T) {
 	}
 }
 
+// TestJSONRelationOrder: the document's relations list fixes the dense
+// relation order, so a round trip keeps relation ids even when the links
+// name relations in another order than their ids; relations only links
+// name follow the list in first-appearance order, so documents without a
+// list decode as before; and a list can only reorder relations links use.
+func TestJSONRelationOrder(t *testing.T) {
+	const objects = `"objects":[{"id":"p1","type":"paper"},{"id":"p2","type":"paper"},{"id":"a1","type":"author"}]`
+	const links = `"links":[{"from":"a1","to":"p1","rel":"writes","w":1},{"from":"p1","to":"p2","rel":"cites","w":1}]`
+	decode := func(doc string) (*Network, error) { return FromJSONLimited([]byte(doc), Limits{}) }
+	net, err := decode(`{` + objects + `,` + links + `}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"writes", "cites"}; !slices.Equal(net.Relations(), want) {
+		t.Fatalf("relations %q, want %q", net.Relations(), want)
+	}
+	data, err := net.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := decode(string(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(back.Relations(), net.Relations()) || !slices.Equal(back.Edges(), net.Edges()) {
+		t.Fatalf("round trip renumbered relations: %q → %q", net.Relations(), back.Relations())
+	}
+	partial, err := decode(`{` + objects + `,` + links + `,"relations":["cites"]}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"cites", "writes"}; !slices.Equal(partial.Relations(), want) {
+		t.Fatalf("listed-first relations %q, want %q", partial.Relations(), want)
+	}
+	for name, list := range map[string]string{
+		"empty name":     `[""]`,
+		"duplicate name": `["writes","cites","writes"]`,
+		"unused name":    `["writes","cites","cited_by"]`,
+	} {
+		if _, err := decode(`{` + objects + `,` + links + `,"relations":` + list + `}`); err == nil {
+			t.Errorf("%s accepted: relations %s", name, list)
+		}
+	}
+
+	// A relation without links is dropped from the list, keeping the rest
+	// of the order, so the document still decodes.
+	b := NewBuilder()
+	b.AddObject("a", "t")
+	b.AddObject("c", "t")
+	b.Relation("lonely")
+	b.AddLink("a", "c", "used", 1)
+	b.AddLink("c", "a", "back", 1)
+	sparse, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err = sparse.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err = decode(string(data))
+	if err != nil {
+		t.Fatalf("document with an unlinked relation does not decode: %v", err)
+	}
+	if want := []string{"used", "back"}; !slices.Equal(back.Relations(), want) {
+		t.Fatalf("relations %q after dropping the unlinked one, want %q", back.Relations(), want)
+	}
+}
+
 func assertNetworksEqual(t *testing.T, a, b *Network) {
 	t.Helper()
 	if a.NumObjects() != b.NumObjects() || a.NumEdges() != b.NumEdges() ||
@@ -430,7 +500,8 @@ func assertNetworksEqual(t *testing.T, a, b *Network) {
 }
 
 // TestRandomNetworkInvariantsQuick property-tests Build on random networks:
-// CSR adjacency must partition the edge set regardless of insertion order.
+// out-links and in-links must each partition the edge set regardless of
+// insertion order.
 func TestRandomNetworkInvariantsQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

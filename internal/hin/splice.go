@@ -62,38 +62,31 @@ func compareEdges(a, b Edge) int {
 	return cmp.Compare(a.Weight, b.Weight)
 }
 
-// edgeOffsets returns the CSR offsets of canonically sorted edges by source
-// (outStart) and the in-link offsets by target (inStart).
-func edgeOffsets(edges []Edge, nObj int) (outStart, inStart []int) {
-	outStart = make([]int, nObj+1)
-	inStart = make([]int, nObj+1)
+// outOffsets returns the offsets of canonically sorted edges by source:
+// object v's out-links are edges[start[v]:start[v+1]].
+func outOffsets(edges []Edge, nObj int) []int {
+	start := make([]int, nObj+1)
 	for _, e := range edges {
-		outStart[e.From+1]++
-		inStart[e.To+1]++
+		start[e.From+1]++
 	}
 	for v := 0; v < nObj; v++ {
-		outStart[v+1] += outStart[v]
-		inStart[v+1] += inStart[v]
+		start[v+1] += start[v]
 	}
-	return outStart, inStart
+	return start
 }
 
 // Splice returns the next generation of n: the network a Builder would
-// build from n's content changed by d, equal in every stored field, with
-// its CSR link views already built. n is never modified; it is
-// CSR-prepared first if it was not.
+// build from n's content changed by d, equal in every stored field. n is
+// never modified, and no in-link index is built for the child until one is
+// asked for.
 //
 // The splice copies only what d touches: the edge list and its offsets,
-// the merged in-link view, the CSR of each relation d adds links to or
-// removes links from, and the observation rows of each patched attribute.
-// Everything else is shared with n: the objects and the ID and type
-// indexes unless d appends objects, the relation table unless d appends
-// relations, the attribute table, the CSR of every untouched relation (its
-// row offsets are extended when objects are appended), and every untouched
-// attribute. Shared slices are never appended to, so any number of
-// children may be spliced from one parent.
+// and the observation rows of each patched attribute. Everything else is
+// shared with n: the objects and the ID and type indexes unless d appends
+// objects, the relation table unless d appends relations, the attribute
+// table, and every untouched attribute. Shared slices are never appended
+// to, so any number of children may be spliced from one parent.
 func (n *Network) Splice(d *Delta) (*Network, error) {
-	n.PrepareCSR()
 	if err := n.checkDelta(d); err != nil {
 		return nil, err
 	}
@@ -105,7 +98,6 @@ func (n *Network) Splice(d *Delta) (*Network, error) {
 		relIndex:  n.relIndex,
 		edges:     n.edges,
 		outStart:  n.outStart,
-		inStart:   n.inStart,
 		attrs:     n.attrs,
 		attrIndex: n.attrIndex,
 		catObs:    n.catObs,
@@ -122,22 +114,13 @@ func (n *Network) Splice(d *Delta) (*Network, error) {
 			c.relIndex[name] = base + i
 		}
 	}
-	touched := make([]bool, len(c.relations))
-	for _, e := range d.Add {
-		touched[e.Rel] = true
-	}
-	for _, k := range d.Remove {
-		touched[k.Rel] = true
-	}
 	edgesChanged := len(d.Add) > 0 || len(d.Remove) > 0
 	if edgesChanged {
 		c.edges = n.spliceEdges(d.Add, d.Remove)
 	}
 	if edgesChanged || len(d.Objects) > 0 {
-		c.outStart, c.inStart = edgeOffsets(c.edges, len(c.objects))
+		c.outStart = outOffsets(c.edges, len(c.objects))
 	}
-	views := c.buildViews(n.csr, touched)
-	c.csrOnce.Do(func() { c.csr = views })
 	if len(d.Obs) > 0 || len(d.Objects) > 0 {
 		c.catObs, c.numObs = n.spliceObs(len(c.objects), d.Obs)
 	}

@@ -3,6 +3,7 @@ package hin
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -51,10 +52,10 @@ func TestSpliceRejectsInvalidDeltas(t *testing.T) {
 	}
 }
 
-// TestSpliceConcurrent splices children from one parent that is not yet
-// CSR-prepared on several goroutines at once, each child adding an object
-// of a shared type and a link from it, and walks every child's views
-// while the others are being built (run with -race).
+// TestSpliceConcurrent splices children from one parent on several
+// goroutines at once, each child adding an object of a shared type and a
+// link from it, and builds every child's in-link index while the others
+// are being spliced (run with -race).
 func TestSpliceConcurrent(t *testing.T) {
 	net := buildToy(t)
 	write, _ := net.RelationID("write")
@@ -73,7 +74,6 @@ func TestSpliceConcurrent(t *testing.T) {
 			})
 			if errs[i] == nil {
 				children[i].InLinkArrays()
-				children[i].RelationCSRs()
 			}
 		}(i)
 	}
@@ -82,7 +82,7 @@ func TestSpliceConcurrent(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		checkCSRInvariants(t, c)
+		checkLinkInvariants(t, c)
 		authors := c.ObjectsOfType("author")
 		if last := c.Object(authors[len(authors)-1]).ID; last != fmt.Sprintf("a%d-new", i) {
 			t.Fatalf("child %d's newest author is %q: siblings share a type list", i, last)
@@ -95,4 +95,34 @@ func TestSpliceConcurrent(t *testing.T) {
 	if got := len(net.ObjectsOfType("author")); got != 2 {
 		t.Fatalf("parent has %d authors after splicing, want 2", got)
 	}
+}
+
+// TestSpliceBuildsNoInLinkIndex: a splice reads only the parent's edge list
+// and builds no in-link index, for the parent or the child, until InLinks
+// or PrepareCSR asks for one.
+func TestSpliceBuildsNoInLinkIndex(t *testing.T) {
+	net := buildToy(t)
+	write, _ := net.RelationID("write")
+	a1, _ := net.IndexOf("a1")
+	p2, _ := net.IndexOf("p2")
+	child, err := net.Splice(&Delta{Add: []Edge{{From: a1, To: p2, Rel: write, Weight: 3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net.in != nil || child.in != nil {
+		t.Fatalf("splice built an in-link index: parent %v, child %v", net.in != nil, child.in != nil)
+	}
+	from, _, _ := child.InLinks(p2)
+	if child.in == nil || !slices.Contains(from, a1) {
+		t.Fatalf("InLinks(p2) = %v after the splice, want it to include a1", from)
+	}
+	grandchild, err := child.Splice(&Delta{Remove: []LinkKey{{From: a1, Rel: write, To: p2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grandchild.in != nil {
+		t.Fatal("splicing from a parent with an in-link index built one for the child")
+	}
+	grandchild.PrepareCSR()
+	checkLinkInvariants(t, grandchild)
 }

@@ -297,7 +297,6 @@ func (s *Server) recoverNetworks() error {
 			s.recovered.SkippedBlobs++
 			continue
 		}
-		net.PrepareCSR() // a no-op unless no record replayed: Apply returns prepared views
 		s.store.restoreNetwork(id, net, applied, dl)
 		s.recovered.Networks++
 		s.recovered.Mutations += applied

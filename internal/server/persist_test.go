@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"genclus/internal/hin"
 	"genclus/internal/snapshot"
 )
 
@@ -297,9 +298,10 @@ func TestRecoverAfterRestart(t *testing.T) {
 // TestRecoveryReplayMatchesLive applies 300 mutations of all three kinds
 // through the HTTP surface, restarts on the same data dir, and checks that
 // the recovered network equals the live one bit for bit: JSON bytes, the
-// relation table, every relation's CSR and the merged in-link view.
-// Replay splices from the persisted base, which is decoded without CSR
-// views, so the first splice has to prepare its parent.
+// relation table, the edge list and the in-link index. A second network
+// lists its links out of canonical edge order — a1 -writes-> p1 before
+// p1 -cites-> p2 — so its relation ids ([writes cites]) differ from the
+// order its edges name them in; the persisted base must keep them.
 func TestRecoveryReplayMatchesLive(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Workers: 1, DataDir: dir, SupervisorDisabled: true, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
@@ -310,6 +312,11 @@ func TestRecoveryReplayMatchesLive(t *testing.T) {
 	ts1 := httptest.NewServer(s1.Handler())
 	network, _ := testNetworkJSON(t, 20, 7)
 	netID := uploadNetwork(t, ts1, network)
+	orderID := uploadNetwork(t, ts1, []byte(`{"objects":[{"id":"p1","type":"paper"},{"id":"p2","type":"paper"},{"id":"a1","type":"author"}],`+
+		`"links":[{"from":"a1","to":"p1","rel":"writes","w":1},{"from":"p1","to":"p2","rel":"cites","w":1}]}`))
+	if code, _ := mutate(t, ts1, http.MethodPost, "/v1/networks/"+orderID+"/edges", `{"add":[{"from":"a1","to":"p2","rel":"writes","w":2}]}`); code != http.StatusOK {
+		t.Fatalf("relation-order mutation: status %d", code)
+	}
 
 	rng := rand.New(rand.NewSource(7))
 	ids := make([]string, 40)
@@ -352,11 +359,15 @@ func TestRecoveryReplayMatchesLive(t *testing.T) {
 			t.Fatalf("mutation %d (%s): status %d, generation %d", i, doc, code, resp.Generation)
 		}
 	}
-	entry, ok := s1.store.networkEntry(netID)
-	if !ok {
-		t.Fatal("live network gone")
+	netIDs := []string{netID, orderID}
+	live := make([]*hin.Network, len(netIDs))
+	for i, id := range netIDs {
+		entry, ok := s1.store.networkEntry(id)
+		if !ok {
+			t.Fatalf("live network %s gone", id)
+		}
+		live[i] = entry.net
 	}
-	live := entry.net
 	ts1.Close()
 	s1.Close()
 
@@ -365,32 +376,31 @@ func TestRecoveryReplayMatchesLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if rec := s2.Recovered(); rec.Networks != 1 || rec.Mutations != mutations || rec.SkippedBlobs != 0 {
+	if rec := s2.Recovered(); rec.Networks != 2 || rec.Mutations != mutations+1 || rec.SkippedBlobs != 0 {
 		t.Fatalf("recovery stats: %+v", rec)
 	}
-	entry, ok = s2.store.networkEntry(netID)
-	if !ok {
-		t.Fatal("network not recovered")
-	}
-	got := entry.net
-	liveJSON, _ := live.MarshalJSON()
-	gotJSON, _ := got.MarshalJSON()
-	if !bytes.Equal(gotJSON, liveJSON) {
-		t.Fatal("recovered network JSON differs from the live network")
-	}
-	if !slices.Equal(got.Relations(), live.Relations()) {
-		t.Fatalf("recovered relations %v, live %v", got.Relations(), live.Relations())
-	}
-	for r := 0; r < live.NumRelations(); r++ {
-		g, l := got.RelationCSR(r), live.RelationCSR(r)
-		if !slices.Equal(g.Start, l.Start) || !slices.Equal(g.Col, l.Col) || !slices.Equal(g.Weight, l.Weight) {
-			t.Fatalf("recovered CSR of relation %q differs from the live one", live.RelationName(r))
+	for i, id := range netIDs {
+		entry, ok := s2.store.networkEntry(id)
+		if !ok {
+			t.Fatalf("network %s not recovered", id)
 		}
-	}
-	gs, gf, gr, gw := got.InLinkArrays()
-	ls, lf, lr, lw := live.InLinkArrays()
-	if !slices.Equal(gs, ls) || !slices.Equal(gf, lf) || !slices.Equal(gr, lr) || !slices.Equal(gw, lw) {
-		t.Fatal("recovered in-link view differs from the live one")
+		got, live := entry.net, live[i]
+		if !slices.Equal(got.Relations(), live.Relations()) {
+			t.Fatalf("network %s: recovered relations %v, live %v", id, got.Relations(), live.Relations())
+		}
+		liveJSON, _ := live.MarshalJSON()
+		gotJSON, _ := got.MarshalJSON()
+		if !bytes.Equal(gotJSON, liveJSON) {
+			t.Fatalf("network %s: recovered JSON differs from the live network", id)
+		}
+		if !slices.Equal(got.Edges(), live.Edges()) {
+			t.Fatalf("network %s: recovered edge list differs from the live one", id)
+		}
+		gs, gf, gr, gw := got.InLinkArrays()
+		ls, lf, lr, lw := live.InLinkArrays()
+		if !slices.Equal(gs, ls) || !slices.Equal(gf, lf) || !slices.Equal(gr, lr) || !slices.Equal(gw, lw) {
+			t.Fatalf("network %s: recovered in-link index differs from the live one", id)
+		}
 	}
 }
 

@@ -816,11 +816,6 @@ func (s *Server) handleUploadNetwork(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, "%v", err)
 		return
 	}
-	// Materialize the sparse link views at the trust boundary, once per
-	// upload, so the first fit of this network does not pay the CSR build
-	// inside its job slot (PrepareCSR is idempotent — a concurrent fit of
-	// the same network just finds them ready).
-	net.PrepareCSR()
 	id := s.store.addNetwork(net)
 	writeJSON(w, http.StatusCreated, networkResponse{
 		ID:         id,
@@ -857,15 +852,11 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := core.DefaultOptions(req.K)
 	req.Options.apply(&opts)
-	// A fit can only use as many EM workers as there are cores; clamp
-	// rather than letting one job oversubscribe the box.
-	if procs := runtime.GOMAXPROCS(0); opts.Parallelism > procs {
-		opts.Parallelism = procs
-	}
 	if req.WarmStartFrom != "" && req.WarmStartFromModel != "" {
 		writeError(w, http.StatusBadRequest, "warm_start_from and warm_start_from_model are mutually exclusive")
 		return
 	}
+	var warm *core.Model
 	if req.WarmStartFrom != "" {
 		prior, ok := s.store.job(req.WarmStartFrom)
 		if !ok {
@@ -881,14 +872,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusConflict, "warm-start job %s is %s, not done", req.WarmStartFrom, snap.state)
 			return
 		}
-		// opts.K is req.K: 0 inherits the prior fit's K, otherwise it
-		// must match (RefitOptions rejects a mismatch).
-		warm, err := snap.result.RefitOptions(net, opts)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "warm start: %v", err)
-			return
-		}
-		opts = warm
+		warm = snap.result
 	}
 	if req.WarmStartFromModel != "" {
 		entry, ok := s.store.model(req.WarmStartFromModel)
@@ -896,51 +880,29 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, "unknown warm-start model %q", req.WarmStartFromModel)
 			return
 		}
-		warm, err := entry.model.RefitOptions(net, opts)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "warm start: %v", err)
-			return
-		}
-		opts = warm
+		warm = entry.model
 	}
-	if err := s.checkJobBounds(opts); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid options: %v", err)
-		return
-	}
-	if err := opts.Validate(net); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid options: %v", err)
-		return
-	}
-	truth, err := denseTruth(net, req.Truth)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	j := &job{
-		id:         newID("job"),
-		networkID:  req.NetworkID,
-		opts:       opts,
-		truth:      truth,
-		created:    s.cfg.now(),
-		generation: generation,
-		net:        net,
-		state:      jobQueued,
-		done:       make(chan struct{}),
-	}
-	// The fit's own trace starts now and continues the caller's trace: its
-	// root is parented to the submit request's span, so a caller-supplied
+	// The fit's own trace continues the caller's trace: its root is
+	// parented to the submit request's span, so a caller-supplied
 	// traceparent flows SDK → submit → queue wait → every outer iteration.
-	j.span = s.tracer.StartTrace("job.fit", spanContext(r.Context()), j.created)
-	j.span.SetAttr("job", j.id)
-	j.span.SetAttr("network", req.NetworkID)
-	if err := s.manager.submit(j); err != nil {
-		j.span.SetAttr("error", err.Error())
-		j.span.End(s.cfg.now())
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+	j, err := s.submitFit(fitSpec{
+		networkID: req.NetworkID,
+		net:       net,
+		gen:       generation,
+		opts:      opts,
+		warm:      warm,
+		truth:     req.Truth,
+		parent:    spanContext(r.Context()),
+	})
+	if err != nil {
+		code := http.StatusServiceUnavailable
+		var rej fitRejectedError
+		if errors.As(err, &rej) {
+			code = http.StatusBadRequest
+		}
+		writeError(w, code, "%v", err)
 		return
 	}
-	s.store.addJob(j)
 	// The submit log line joins the request ID and the job ID — the only
 	// place both are in hand — so the job's later start/finish lines can be
 	// traced back to the originating request.
@@ -950,6 +912,80 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		slog.String("network", req.NetworkID),
 	)
 	writeJSON(w, http.StatusAccepted, s.jobResponse(j))
+}
+
+// fitSpec is what a fit job is built from.
+type fitSpec struct {
+	networkID string
+	net       *hin.Network // the generation to fit
+	gen       int
+	opts      core.Options      // DefaultOptions plus the caller's overrides
+	warm      *core.Model       // warm-start source; nil for a cold fit
+	truth     map[string]int    // ground-truth labels by object ID, optional
+	parent    trace.SpanContext // the span the job's job.fit trace continues
+	trigger   string            // what scheduled a job no client submitted
+}
+
+// fitRejectedError is submitFit's error for a fit that can never run:
+// options or truth labels that the network or the server's bounds refuse.
+type fitRejectedError struct{ error }
+
+// submitFit is the one path from a fit request to a queued job, taken by
+// POST /v1/jobs and the refit supervisor alike — so an auto-refit is a
+// manual warm start of the same generation, bit for bit. It clamps
+// Parallelism to the cores, applies the warm start's RefitOptions (K 0
+// inherits the model's K, any other K must match), enforces the server's
+// bounds, validates the options against the network and resolves the
+// truth labels — each failure a fitRejectedError — then queues the job,
+// failing with errQueueFull when the queue has no room, and registers it.
+func (s *Server) submitFit(sp fitSpec) (*job, error) {
+	opts := sp.opts
+	// A fit can only use as many EM workers as there are cores; clamp
+	// rather than letting one job oversubscribe the box.
+	if procs := runtime.GOMAXPROCS(0); opts.Parallelism > procs {
+		opts.Parallelism = procs
+	}
+	if sp.warm != nil {
+		warm, err := sp.warm.RefitOptions(sp.net, opts)
+		if err != nil {
+			return nil, fitRejectedError{fmt.Errorf("warm start: %w", err)}
+		}
+		opts = warm
+	}
+	if err := s.checkJobBounds(opts); err != nil {
+		return nil, fitRejectedError{fmt.Errorf("invalid options: %w", err)}
+	}
+	if err := opts.Validate(sp.net); err != nil {
+		return nil, fitRejectedError{fmt.Errorf("invalid options: %w", err)}
+	}
+	truth, err := denseTruth(sp.net, sp.truth)
+	if err != nil {
+		return nil, fitRejectedError{err}
+	}
+	j := &job{
+		id:         newID("job"),
+		networkID:  sp.networkID,
+		opts:       opts,
+		truth:      truth,
+		created:    s.cfg.now(),
+		generation: sp.gen,
+		net:        sp.net,
+		state:      jobQueued,
+		done:       make(chan struct{}),
+	}
+	j.span = s.tracer.StartTrace("job.fit", sp.parent, j.created)
+	j.span.SetAttr("job", j.id)
+	j.span.SetAttr("network", sp.networkID)
+	if sp.trigger != "" {
+		j.span.SetAttr("trigger", sp.trigger)
+	}
+	if err := s.manager.submit(j); err != nil {
+		j.span.SetAttr("error", err.Error())
+		j.span.End(s.cfg.now())
+		return nil, err
+	}
+	s.store.addJob(j)
+	return j, nil
 }
 
 // checkJobBounds enforces the server-side ceilings on job options —

@@ -2,9 +2,9 @@ package server
 
 import (
 	"context"
+	"errors"
 	"log/slog"
 	"math"
-	"runtime"
 	"sync"
 	"time"
 
@@ -238,31 +238,29 @@ func (sup *supervisor) evaluate() {
 }
 
 // triggerRefit schedules a warm-start refit of the network's current
-// generation through the ordinary job pipeline — the exact option path a
-// client POST /v1/jobs with warm_start_from_model takes (DefaultOptions →
-// parallelism clamp → RefitOptions → server bounds → Validate), so the
-// auto-refit model is bitwise-identical to a manual warm start of the same
-// generation. parent is the supervisor decision's span context, so the
-// refit job's trace continues the decision's trace id.
+// generation through submitFit — the path a client POST /v1/jobs with
+// warm_start_from_model takes — so the auto-refit model is
+// bitwise-identical to a manual warm start of the same generation. parent
+// is the supervisor decision's span context, so the refit job's trace
+// continues the decision's trace id.
 func (sup *supervisor) triggerRefit(net *hin.Network, gen int, e *modelEntry, drift float64, pending int, reason string, parent trace.SpanContext) {
 	s := sup.s
 	opts := core.DefaultOptions(0) // K inherited from the warm-start model
-	if procs := runtime.GOMAXPROCS(0); opts.Parallelism > procs {
-		opts.Parallelism = procs
-	}
 	// An auto-refit of a float32 model stays float32: the refit replaces
 	// the model in place, and silently widening its storage would change
 	// snapshot bytes and replica traffic out from under the operator.
 	opts.Precision = e.precision
-	warm, err := e.model.RefitOptions(net, opts)
-	if err == nil {
-		opts = warm
-		err = s.checkJobBounds(opts)
-	}
-	if err == nil {
-		err = opts.Validate(net)
-	}
-	if err != nil {
+	j, err := s.submitFit(fitSpec{
+		networkID: sup.networkID,
+		net:       net,
+		gen:       gen,
+		opts:      opts,
+		warm:      e.model,
+		parent:    parent,
+		trigger:   reason,
+	})
+	var rej fitRejectedError
+	if errors.As(err, &rej) {
 		// The model cannot seed a fit of this generation (K out of bounds,
 		// incompatible options). Advance past the generation so the
 		// supervisor does not spin on an impossible refit, and count the
@@ -280,31 +278,14 @@ func (sup *supervisor) triggerRefit(net *hin.Network, gen int, e *modelEntry, dr
 		)
 		return
 	}
-	j := &job{
-		id:         newID("job"),
-		networkID:  sup.networkID,
-		opts:       opts,
-		generation: gen,
-		net:        net,
-		created:    s.cfg.now(),
-		state:      jobQueued,
-		done:       make(chan struct{}),
-	}
-	j.span = s.tracer.StartTrace("job.fit", parent, j.created)
-	j.span.SetAttr("job", j.id)
-	j.span.SetAttr("network", sup.networkID)
-	j.span.SetAttr("trigger", reason)
-	if err := s.manager.submit(j); err != nil {
+	if err != nil {
 		// Queue full: backpressure, not failure. Retry on the next tick.
-		j.span.SetAttr("error", err.Error())
-		j.span.End(s.cfg.now())
 		s.log.LogAttrs(context.Background(), slog.LevelDebug, "supervisor refit deferred",
 			slog.String("network", sup.networkID),
 			slog.String("error", err.Error()),
 		)
 		return
 	}
-	s.store.addJob(j)
 	sup.mu.Lock()
 	sup.refit = j
 	sup.lastRefitGen = gen
